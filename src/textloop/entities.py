@@ -9,6 +9,7 @@ to the odometry frame active when the image was taken.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -208,16 +209,21 @@ def fit_plane_ransac(
     if n < params.min_points:
         raise TooFewPoints(f"{n} points, need {params.min_points}")
     rng = np.random.default_rng(seed)
+    # one rng draw per hypothesis, in hypothesis order, keeps the seeded
+    # results; the triples are drawn up front so one np.cross gives every normal
+    triples = np.array(
+        [rng.choice(n, size=3, replace=False) for _ in range(params.iterations)], dtype=np.intp
+    ).reshape(-1, 3)
+    a, b, c = points[triples].transpose(1, 0, 2)
+    normals = np.cross(b - a, c - a)
     best_count = 0
     best_inliers = None
-    for _ in range(params.iterations):
-        a, b, c = points[rng.choice(n, size=3, replace=False)]
-        normal = np.cross(b - a, c - a)
+    for h, normal in enumerate(normals):
         scale = np.linalg.norm(normal)
         if scale < 1e-12:
             continue
         normal /= scale
-        dist = np.abs((points - a) @ normal)
+        dist = np.abs((points - a[h]) @ normal)
         inliers = dist <= params.inlier_threshold
         count = int(inliers.sum())
         if count > best_count:
@@ -326,17 +332,15 @@ def extract_entities(
 ) -> list[TextEntity]:
     """Run the full extraction chain for one image.
 
+    stamps: ascending odometry timestamps, one per entry of poses.
     clouds: mapping frame index -> (N, 3) points in that LiDAR frame.
     Detections that fail a geometric step are skipped rather than fatal;
     an out-of-span timestamp raises UnbracketedTimestamp.
     """
     pattern = compile_id_pattern(params.id_pattern)
     anchor, motion = pose_at_image_time(stamps, poses, t_image)
-    frames = [
-        (stamps[f], poses[f], clouds[f])
-        for f in range(anchor + 1)
-        if f in clouds and stamps[f] >= t_image - params.window
-    ]
+    first = bisect_left(stamps, t_image - params.window)
+    frames = [(stamps[f], poses[f], clouds[f]) for f in range(first, anchor + 1) if f in clouds]
     try:
         cloud_anchor = accumulate_local_cloud(frames, t_now=stamps[anchor], window=params.window)
     except EmptyWindow:

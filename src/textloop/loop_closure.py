@@ -8,6 +8,7 @@ constraints between the two anchor frames.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -175,6 +176,7 @@ class DetectorState:
         self.poses: list[Pose] = []
         self.clouds: dict[int, LocalCloud] = {}
         self._cum: np.ndarray = np.zeros(0)
+        # accepted (frame_i, frame_j) pairs, kept sorted
         self._accepted: list[tuple[int, int]] = []
 
     def add_odometry(self, stamp: float, pose: Pose) -> int:
@@ -199,13 +201,15 @@ class DetectorState:
         return self._cum
 
     def in_cooldown(self, frame_i: int, frame_j: int) -> bool:
+        """Whether an accepted pair lies within cooldown_frames in both indices."""
         window = self.params.cooldown_frames
-        return any(
-            abs(frame_i - i) < window and abs(frame_j - j) < window for i, j in self._accepted
-        )
+        # the pairs with frame_i - window < i < frame_i + window
+        lo = bisect_right(self._accepted, (frame_i - window, np.inf))
+        hi = bisect_left(self._accepted, (frame_i + window, -np.inf))
+        return any(abs(frame_j - j) < window for _, j in self._accepted[lo:hi])
 
     def record_accepted(self, frame_i: int, frame_j: int) -> None:
-        self._accepted.append((frame_i, frame_j))
+        insort(self._accepted, (frame_i, frame_j))
 
 
 def _information_matrix(params: DetectorParams, refined: bool) -> np.ndarray:
@@ -244,11 +248,16 @@ def _candidate_observations(state: DetectorState, entity: TextEntity, frame: int
 def _close_loop(
     state: DetectorState,
     frame: int,
-    entity: TextEntity,
     obs: Observation,
+    prior: Pose,
     source: LoopSource,
 ) -> LoopConstraint | None:
-    prior = relative_pose_from_entities(entity.pose_in_anchor, obs.pose)
+    """Verify one candidate pair with ICP seeded at the entity-derived `prior`.
+
+    The constraint carries the ICP pose when it was accepted and refinement is
+    on, otherwise the prior; either way its translation must stay within
+    max_offset.
+    """
     icp = _icp_between(state, frame, obs.frame, prior)
     if source is LoopSource.ID_TEXT:
         # content alone cannot distinguish repeated installations of one sign,
@@ -280,7 +289,11 @@ def process_frame(
     Entities are inserted into the database here; candidate retrieval happens
     first so an observation never matches itself.  At most one constraint per
     (frame, candidate frame) pair is produced, and accepted pairs suppress
-    nearby pairs for cooldown_frames in both indices.
+    nearby pairs for cooldown_frames in both indices.  A candidate whose
+    entity-derived relative translation exceeds max_offset + icp.max_correspondence
+    is dropped before association and ICP: it is the same content seen from
+    elsewhere, which the max_offset check would reject after ICP anyway.
+    The slack keeps the priors that ICP can still pull within max_offset.
     """
     candidates: list[tuple[TextEntity, Observation]] = []
     for entity in entities:
@@ -293,6 +306,7 @@ def process_frame(
     # ordered by candidate frame, then db insertion order
     candidates.sort(key=lambda pair: pair[1].frame)
     params = state.params
+    max_prior_offset = params.max_offset + params.icp.max_correspondence
     map_c: Ltem | None = None
     constraints: list[LoopConstraint] = []
     done_pairs: set[tuple[int, int]] = set()
@@ -300,8 +314,11 @@ def process_frame(
         pair = (frame, obs.frame)
         if pair in done_pairs or state.in_cooldown(*pair):
             continue
+        prior = relative_pose_from_entities(entity.pose_in_anchor, obs.pose)
+        if float(np.linalg.norm(prior.translation)) > max_prior_offset:
+            continue
         if entity.category is TextCategory.ID:
-            constraint = _close_loop(state, frame, entity, obs, LoopSource.ID_TEXT)
+            constraint = _close_loop(state, frame, obs, prior, LoopSource.ID_TEXT)
         else:
             if map_c is None:
                 map_c = build_ltem(
@@ -325,7 +342,7 @@ def process_frame(
             )
             if match is None:
                 continue
-            constraint = _close_loop(state, frame, entity, obs, LoopSource.GENERIC_TEXT)
+            constraint = _close_loop(state, frame, obs, prior, LoopSource.GENERIC_TEXT)
         if constraint is None:
             continue
         constraints.append(constraint)

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from textloop import entities as entities_module
 from textloop.entities import (
     CalibratedRig,
     DegenerateEdge,
     DegenerateSample,
     EmptyWindow,
+    ExtractionError,
     ExtractionParams,
     InvalidPattern,
     LowInlierRatio,
@@ -303,3 +305,116 @@ def test_extract_entities_unbracketed_timestamp():
     det = TextDetection("EXIT", confidence=0.95, quad=quad, timestamp=0.35)
     with pytest.raises(UnbracketedTimestamp):
         extract_entities([det], 0.35, rig, stamps, poses, clouds)
+
+
+def _ransac_oracle(points, seed, params=RansacParams()):
+    """fit_plane_ransac with one np.cross per hypothesis, as first written."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(points)
+    if n < params.min_points:
+        raise TooFewPoints(f"{n} points, need {params.min_points}")
+    rng = np.random.default_rng(seed)
+    best_count = 0
+    best_inliers = None
+    for _ in range(params.iterations):
+        a, b, c = points[rng.choice(n, size=3, replace=False)]
+        normal = np.cross(b - a, c - a)
+        scale = np.linalg.norm(normal)
+        if scale < 1e-12:
+            continue
+        normal /= scale
+        dist = np.abs((points - a) @ normal)
+        inliers = dist <= params.inlier_threshold
+        count = int(inliers.sum())
+        if count > best_count:
+            best_count = count
+            best_inliers = inliers
+    if best_inliers is None:
+        raise DegenerateSample("all sampled triples were collinear")
+    if best_count < params.min_points or best_count < params.min_inlier_ratio * n:
+        raise LowInlierRatio(f"{best_count}/{n} inliers")
+    support = points[best_inliers]
+    centroid = support.mean(axis=0)
+    _, _, vt = np.linalg.svd(support - centroid, full_matrices=False)
+    normal = vt[2]
+    if normal @ centroid > 0.0:
+        normal = -normal
+    return PlaneParams(normal, -float(normal @ centroid))
+
+
+def _ransac_outcome(fit, points, seed, params):
+    try:
+        plane = fit(points, seed, params)
+    except ExtractionError as exc:
+        return type(exc)
+    return plane.normal.tolist(), plane.offset
+
+
+def _noisy_plane(rng, count, sigma):
+    normal = rng.normal(size=3)
+    normal /= np.linalg.norm(normal)
+    basis = np.linalg.svd(normal[None, :])[2][1:]
+    center = rng.uniform(-3.0, 3.0, size=3) + [0.0, 0.0, 6.0]
+    coords = rng.uniform(-1.0, 1.0, size=(count, 2))
+    return center + coords @ basis + rng.normal(scale=sigma, size=(count, 1)) * normal
+
+
+def test_fit_plane_ransac_matches_per_hypothesis_oracle():
+    rng = np.random.default_rng(2024)
+    clouds = []
+    for _ in range(40):
+        # noisy planes straddling the inlier threshold
+        sigma = float(rng.uniform(0.0, 0.03))
+        clouds.append(_noisy_plane(rng, int(rng.integers(20, 200)), sigma))
+        # a plane plus scattered outliers, from mostly inliers to mostly outliers
+        plane = _noisy_plane(rng, int(rng.integers(20, 120)), 0.005)
+        scatter = rng.uniform(-3.0, 3.0, size=(int(rng.integers(0, 150)), 3)) + [0.0, 0.0, 6.0]
+        clouds.append(np.vstack([plane, scatter]))
+        # collinear runs make degenerate triples likely
+        line = np.linspace(0.0, 1.0, int(rng.integers(15, 40)))[:, None] * rng.normal(size=3)
+        clouds.append(np.vstack([line, _noisy_plane(rng, int(rng.integers(5, 30)), 0.0)]))
+    clouds.append(np.column_stack([np.linspace(0, 1, 30), np.zeros(30), np.full(30, 5.0)]))
+    clouds.append(np.zeros((10, 3)))
+    param_sets = [RansacParams(), RansacParams(iterations=7), RansacParams(iterations=0)]
+    outcomes = set()
+    for index, cloud in enumerate(clouds):
+        for params in param_sets:
+            seed = [int(rng.integers(0, 1000)), index]
+            expected = _ransac_outcome(_ransac_oracle, cloud, seed, params)
+            got = _ransac_outcome(fit_plane_ransac, cloud, seed, params)
+            # == on the floats: the same hypotheses must win with the same bits
+            assert got == expected, (index, params)
+            outcomes.add(expected if isinstance(expected, type) else PlaneParams)
+    assert outcomes == {PlaneParams, TooFewPoints, DegenerateSample, LowInlierRatio}
+
+
+def test_extract_entities_window_matches_full_scan(monkeypatch):
+    wall = _wall_scene()[3][0]
+    stamps = [0.25 * f for f in range(20)]
+    poses = [_translation(0.01 * f) for f in range(20)]
+    # frames 12 and 14 lie inside the window but have no cloud
+    clouds = {f: _translation(-0.01 * f).apply(wall) for f in range(20) if f not in (12, 14)}
+    accumulate = entities_module.accumulate_local_cloud
+    seen = []
+
+    def recording_accumulate(frames, *args, **kwargs):
+        seen.append(frames)
+        return accumulate(frames, *args, **kwargs)
+
+    monkeypatch.setattr(entities_module, "accumulate_local_cloud", recording_accumulate)
+    rig = CalibratedRig(K100, Pose.identity())
+    # 4.0 - 1.0 lands exactly on stamp 12, the inclusive edge of the window
+    for t_image in (4.0, 4.1, 0.3, 4.75):
+        quad = _quad_for_rect(center_x=-0.1, width=0.4, height=0.2, cam_x=0.0)
+        det = TextDetection("EXIT", confidence=0.95, quad=quad, timestamp=t_image)
+        found = extract_entities([det], t_image, rig, stamps, poses, clouds)
+        assert len(found) == 1
+        anchor = found[0].anchor_frame
+        full_scan = [
+            (stamps[f], poses[f], clouds[f])
+            for f in range(anchor + 1)
+            if f in clouds and stamps[f] >= t_image - 1.0
+        ]
+        frames = seen.pop()
+        assert [t for t, _, _ in frames] == [t for t, _, _ in full_scan]
+        assert all(p is q and a is b for (_, p, a), (_, q, b) in zip(frames, full_scan))

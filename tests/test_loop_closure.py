@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from textloop import loop_closure
 from textloop.entities import TextCategory, TextEntity, TooFewPoints
 from textloop.geometry import Pose, exp_map
 from textloop.loop_closure import (
     DetectorParams,
     DetectorState,
+    IcpResult,
     LocalCloud,
     LoopConstraint,
     LoopSource,
@@ -224,15 +226,13 @@ def test_cooldown_suppresses_adjacent_pairs():
     assert (constraints[0].frame_i, constraints[0].frame_j) == (32, 0)
 
 
-def _generic_events(contents):
+def _generic_events(contents, category=TextCategory.GENERIC):
     spots = [
         _yaw_pose(0.2, [1.0, 1.0, 1.0]),
         _yaw_pose(-0.4, [3.0, 1.0, 1.0]),
         _yaw_pose(0.9, [5.0, 1.0, 0.5]),
     ]
-    batch = [
-        (content, TextCategory.GENERIC, spot) for content, spot in zip(contents, spots)
-    ]
+    batch = [(content, category, spot) for content, spot in zip(contents, spots)]
     return {2: batch, 34: batch}
 
 
@@ -267,3 +267,80 @@ def test_generic_icp_gate_rejects_bad_geometry():
     _, constraints = _run_square(events, corrupt_frames=(2,), params=relaxed)
     assert len(constraints) == 1
     assert np.allclose(np.diag(constraints[0].information), [25.0] * 3 + [100.0] * 3)
+
+
+def test_cooldown_matches_brute_force_for_any_insertion_order():
+    rng = np.random.default_rng(11)
+    for window in (0, 1, 3, 10, 10_000):
+        state = DetectorState(DetectorParams(cooldown_frames=window))
+        accepted = []
+        # pairs arrive out of order, and some frame_i repeat
+        for _ in range(60):
+            frame_i = int(rng.integers(0, 80))
+            frame_j = int(rng.integers(0, 80))
+            state.record_accepted(frame_i, frame_j)
+            accepted.append((frame_i, frame_j))
+            for query_i, query_j in rng.integers(-5, 85, size=(20, 2)):
+                expected = any(
+                    abs(int(query_i) - i) < window and abs(int(query_j) - j) < window
+                    for i, j in accepted
+                )
+                assert state.in_cooldown(int(query_i), int(query_j)) == expected
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("a far candidate must not reach association or ICP")
+
+
+def _shifted(pose, offset):
+    return Pose(pose.rotation, pose.translation + np.asarray(offset, dtype=float))
+
+
+def test_far_id_candidate_skips_icp(monkeypatch):
+    monkeypatch.setattr(loop_closure, "icp_verify", _fail)
+    monkeypatch.setattr(loop_closure, "verify_candidate", _fail)
+    sign = _yaw_pose(1.0, [1.0, 2.0, 1.0])
+    # frame 35 stands 3 m along the ring from frame 0 (and frame 32)
+    events = {
+        0: [("A1-R01", TextCategory.ID, sign)],
+        35: [("A1-R01", TextCategory.ID, sign)],
+    }
+    _, constraints = _run_square(events)
+    assert constraints == []
+
+
+def test_far_generic_candidate_skips_association_and_icp(monkeypatch):
+    monkeypatch.setattr(loop_closure, "icp_verify", _fail)
+    monkeypatch.setattr(loop_closure, "verify_candidate", _fail)
+    monkeypatch.setattr(loop_closure, "build_ltem", _fail)
+    events = _generic_events(["EXIT", "FIRE", "PULL"])
+    events = {2: events[2], 37: events[34]}
+    _, constraints = _run_square(events)
+    assert constraints == []
+
+
+@pytest.mark.parametrize(
+    "contents, category",
+    [(["A1-R01"], TextCategory.ID), (["EXIT", "FIRE", "PULL"], TextCategory.GENERIC)],
+)
+def test_candidate_within_icp_slack_reaches_icp(monkeypatch, contents, category):
+    params = DetectorParams()
+    refined = _yaw_pose(0.0, [1.0, 0.0, 0.0])
+    priors = []
+
+    def accepting_icp(cloud_i, cloud_j, init, icp_params):
+        priors.append(float(np.linalg.norm(init.translation)))
+        return IcpResult(pose=refined, fitness=1.0, rms=0.0, converged=True, accepted=True)
+
+    monkeypatch.setattr(loop_closure, "icp_verify", accepting_icp)
+    # the second sighting lands 1.8 m from the first, so the prior lies between
+    # max_offset (1.5 m) and max_offset + icp.max_correspondence (2.0 m)
+    events = _generic_events(contents, category)
+    shift = [1.8, 0.0, 0.0]
+    events[34] = [(content, cat, _shifted(spot, shift)) for content, cat, spot in events[2]]
+    _, constraints = _run_square(events, params=params)
+    slack = params.icp.max_correspondence
+    assert priors and all(params.max_offset < p <= params.max_offset + slack for p in priors)
+    assert len(constraints) == 1
+    assert (constraints[0].frame_i, constraints[0].frame_j) == (34, 2)
+    assert constraints[0].relative_pose.is_close(refined, tol=1e-12)
