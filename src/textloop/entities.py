@@ -9,7 +9,7 @@ to the odometry frame active when the image was taken.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -271,12 +271,11 @@ def make_entity_pose(
     return Pose(rotation, p_left)
 
 
-def _bracket(stamps: np.ndarray, t_image: float) -> tuple[int, float]:
+def _bracket(stamps, t_image: float) -> tuple[int, float]:
     """Index of the frame at or before t_image and the interpolation factor to the next."""
-    stamps = np.asarray(stamps, dtype=float)
     if len(stamps) == 0:
         raise UnbracketedTimestamp("empty odometry")
-    i = int(np.searchsorted(stamps, t_image + STAMP_EPSILON, side="right")) - 1
+    i = bisect_right(stamps, t_image + STAMP_EPSILON) - 1
     if i < 0:
         raise UnbracketedTimestamp(f"t = {t_image} precedes the first odometry stamp")
     if abs(stamps[i] - t_image) <= STAMP_EPSILON:

@@ -6,11 +6,19 @@ then carries ``odom`` {t, frame, pose}, ``cloud`` {frame, points} and
 ``texts`` {t, detections} records; ground-truth files hold ``gt`` {frame,
 pose} records.  Poses serialize as translation + unit quaternion, floats
 at full round-trip precision (the default for json on this side).
+
+``simulate`` writes records as it generates them, so no more than one cloud
+is held as Python lists at a time.  Trajectory readers (``optimize``,
+``evaluate``) use only ``odom``/``gt`` records and skip cloud lines in the
+canonical form that ``write_log`` emits without decoding them; a corrupt
+cloud payload inside such a line is reported by ``detect``, which parses
+every record.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +86,21 @@ _REQUIRED_FIELDS = {
 }
 
 
-def read_log(path):
-    """Yield LogRecord items; raise LogFormatError with the 1-based line number."""
+# how write_log starts and ends a cloud_record line
+_CLOUD_PREFIX = '{"type":"cloud",'
+_CLOUD_ENDINGS = ("]}\n", "]}")
+
+
+def read_log(path, *, skip_clouds: bool = False):
+    """Yield LogRecord items; raise LogFormatError with the 1-based line number.
+
+    skip_clouds drops, undecoded, the lines that start and end as write_log
+    writes a cloud record; any other line, cloud or not, is validated.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, start=1):
+            if skip_clouds and raw.startswith(_CLOUD_PREFIX) and raw.endswith(_CLOUD_ENDINGS):
+                continue
             if not raw.strip():
                 continue
             try:
@@ -134,26 +153,40 @@ def parse_detections(payload: dict, line: int) -> list[TextDetection]:
     return out
 
 
-def simulation_to_records(result) -> tuple[list[dict], list[dict]]:
-    """Sensor-log records and ground-truth records for a simulator output."""
-    log: list[dict] = [calib_record(result.rig)]
-    events: list[tuple[float, int, dict]] = []
-    for frame, (t, pose) in enumerate(zip(result.stamps, result.odom_poses)):
-        events.append((float(t), 0, odom_record(t, frame, pose)))
-        events.append((float(t), 1, cloud_record(frame, result.clouds[frame])))
-    for t_image, detections in result.camera:
+def simulation_to_records(result) -> tuple[Iterator[dict], list[dict]]:
+    """Sensor-log records, built one at a time in log order, and ground-truth records.
+
+    Events are ordered by (stamp, odom < cloud < texts), ties kept in
+    generation order; only their keys are sorted, each record is built when
+    the consumer asks for it.
+    """
+    events: list[tuple[float, int, int]] = []
+    for frame, t in enumerate(result.stamps):
+        events.append((float(t), 0, frame))
+        events.append((float(t), 1, frame))
+    for index, (t_image, detections) in enumerate(result.camera):
         if detections:
-            events.append((float(t_image), 2, texts_record(t_image, detections)))
+            events.append((float(t_image), 2, index))
     events.sort(key=lambda item: (item[0], item[1]))
-    log.extend(record for _, _, record in events)
     gt = [gt_record(frame, pose) for frame, pose in enumerate(result.gt_poses)]
-    return log, gt
+    return _log_records(result, events), gt
+
+
+def _log_records(result, events) -> Iterator[dict]:
+    yield calib_record(result.rig)
+    for _, rank, index in events:
+        if rank == 0:
+            yield odom_record(result.stamps[index], index, result.odom_poses[index])
+        elif rank == 1:
+            yield cloud_record(index, result.clouds[index])
+        else:
+            yield texts_record(*result.camera[index])
 
 
 def read_trajectory(path) -> tuple[list[float | None], list[Pose]]:
     """Stamps (None for gt files) and poses from odom/gt records, frame order."""
     rows: list[tuple[int, float | None, Pose]] = []
-    for record in read_log(path):
+    for record in read_log(path, skip_clouds=True):
         if record.kind == "odom":
             rows.append(
                 (

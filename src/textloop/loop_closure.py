@@ -175,17 +175,18 @@ class DetectorState:
         self.stamps: list[float] = []
         self.poses: list[Pose] = []
         self.clouds: dict[int, LocalCloud] = {}
-        self._cum: np.ndarray = np.zeros(0)
+        # cumulative path length per frame; a doubling buffer, the first len(poses) entries used
+        self._cum: np.ndarray = np.zeros(64)
         # accepted (frame_i, frame_j) pairs, kept sorted
         self._accepted: list[tuple[int, int]] = []
 
     def add_odometry(self, stamp: float, pose: Pose) -> int:
         frame = len(self.poses)
-        if not self.poses:
-            self._cum = np.zeros(1)
-        else:
+        if frame == len(self._cum):
+            self._cum = np.concatenate([self._cum, np.zeros(frame)])
+        if frame:
             step = float(np.linalg.norm(pose.translation - self.poses[-1].translation))
-            self._cum = np.append(self._cum, self._cum[-1] + step)
+            self._cum[frame] = self._cum[frame - 1] + step
         self.stamps.append(stamp)
         self.poses.append(pose)
         return frame
@@ -198,7 +199,7 @@ class DetectorState:
 
     @property
     def cum_path(self) -> np.ndarray:
-        return self._cum
+        return self._cum[: len(self.poses)]
 
     def in_cooldown(self, frame_i: int, frame_j: int) -> bool:
         """Whether an accepted pair lies within cooldown_frames in both indices."""

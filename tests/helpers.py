@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import platform
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from textloop.association import (
     Association,
@@ -14,6 +19,10 @@ from textloop.association import (
     build_consistency_graph,
     putative_associations,
 )
+from textloop.cli import main
+
+GOLDEN_PATH = Path(__file__).with_name("golden.json")
+PIPELINE_ARTIFACTS = ("log.jsonl", "gt.jsonl", "loops.jsonl", "traj.jsonl", "report.json")
 
 
 def brute_force_densest_subset(graph: ConsistencyGraph) -> list[int]:
@@ -80,3 +89,50 @@ def straight_line_poses(n: int, spacing: float = 1.0):
     from textloop.geometry import Pose
 
     return [Pose(np.eye(3), [i * spacing, 0.0, 0.0]) for i in range(n)]
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def simulate_and_detect(out_dir, scenario: str, seed: int) -> None:
+    """The CLI's simulate then detect, writing log/gt/loops into out_dir."""
+    d = str(out_dir)
+    assert main(["simulate", "--scenario", scenario, "--seed", str(seed), "--out", d]) == 0
+    assert main(["detect", "--log", f"{d}/log.jsonl", "--out", f"{d}/loops.jsonl"]) == 0
+
+
+def cli_pipeline(out_dir) -> dict[str, str]:
+    """The README pipeline on corridor seed 5; sha256 of each artifact."""
+    d = str(out_dir)
+    simulate_and_detect(d, "corridor", 5)
+    assert (
+        main(
+            ["optimize", "--log", f"{d}/log.jsonl", "--loops", f"{d}/loops.jsonl",
+             "--out", f"{d}/traj.jsonl"]
+        )
+        == 0
+    )
+    assert (
+        main(
+            ["evaluate", "--traj", f"{d}/traj.jsonl", "--gt", f"{d}/gt.jsonl",
+             "--loops", f"{d}/loops.jsonl", "--out", f"{d}/report.json"]
+        )
+        == 0
+    )
+    return {name: sha256_of(f"{d}/{name}") for name in PIPELINE_ARTIFACTS}
+
+
+def library_versions() -> dict[str, str]:
+    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def assert_golden(group: str, digests: dict[str, str]) -> None:
+    """Compare digests with tests/golden.json; a mismatch names the artifact and versions."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    expected = golden[group]
+    moved = [name for name in expected if digests.get(name) != expected[name]]
+    assert sorted(digests) == sorted(expected) and not moved, (
+        f"{group}: {', '.join(moved) or 'artifact set'} differ from tests/golden.json, "
+        f"made with {golden['versions']}; this run uses {library_versions()}"
+    )

@@ -5,15 +5,19 @@ per criterion.  The multifloor fixture is shared between the precision and
 the trajectory-error criteria, so those two lines come from the same runs.
 """
 
-import hashlib
 import time
 
 import numpy as np
 import pytest
 
-from helpers import brute_force_densest_subset, random_consistency_instance
+from helpers import (
+    assert_golden,
+    brute_force_densest_subset,
+    cli_pipeline,
+    random_consistency_instance,
+)
 from textloop.association import set_density, solve_consistent_set
-from textloop.cli import main, optimize_trajectory, run_detector
+from textloop.cli import optimize_trajectory, run_detector
 from textloop.config import PipelineConfig, load_config
 from textloop.entities import TextCategory, TextEntity
 from textloop.evaluation import ate, label_loop_poses, score
@@ -262,29 +266,8 @@ def test_detect_stage_mean_runtime_under_100ms_per_frame():
     assert run.timings.per_frame_ms() < 100.0
 
 
-def _pipeline(out_dir) -> dict[str, str]:
-    d = str(out_dir)
-    assert main(["simulate", "--scenario", "corridor", "--seed", "5", "--out", d]) == 0
-    assert main(["detect", "--log", f"{d}/log.jsonl", "--out", f"{d}/loops.jsonl"]) == 0
-    assert (
-        main(
-            ["optimize", "--log", f"{d}/log.jsonl", "--loops", f"{d}/loops.jsonl",
-             "--out", f"{d}/traj.jsonl"]
-        )
-        == 0
-    )
-    assert (
-        main(
-            ["evaluate", "--traj", f"{d}/traj.jsonl", "--gt", f"{d}/gt.jsonl",
-             "--loops", f"{d}/loops.jsonl", "--out", f"{d}/report.json"]
-        )
-        == 0
-    )
-    names = ("log.jsonl", "gt.jsonl", "loops.jsonl", "traj.jsonl", "report.json")
-    return {n: hashlib.sha256(open(f"{d}/{n}", "rb").read()).hexdigest() for n in names}
-
-
 def test_pipeline_artifacts_byte_identical_across_runs(tmp_path):
-    first = _pipeline(tmp_path / "a")
-    second = _pipeline(tmp_path / "b")
+    first = cli_pipeline(tmp_path / "a")
+    second = cli_pipeline(tmp_path / "b")
     assert first == second
+    assert_golden("pipeline_corridor_seed5", first)

@@ -1,25 +1,20 @@
-import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from helpers import assert_golden, sha256_of, simulate_and_detect
 from textloop.cli import main
 from textloop.geometry import Pose
 from textloop.logio import read_trajectory
 from textloop.loop_closure import LoopConstraint
 
 
-def _sha(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     """One corridor run shared by the read-only tests below."""
     d = tmp_path_factory.mktemp("corridor")
-    assert main(["simulate", "--scenario", "corridor", "--seed", "3", "--out", str(d)]) == 0
-    assert main(["detect", "--log", str(d / "log.jsonl"), "--out", str(d / "loops.jsonl")]) == 0
+    simulate_and_detect(d, "corridor", 3)
     return d
 
 
@@ -45,8 +40,8 @@ def test_simulate_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert main(["simulate", "--scenario", "corridor", "--seed", "9", "--out", str(out)]) == 0
-    assert _sha(a / "log.jsonl") == _sha(b / "log.jsonl")
-    assert _sha(a / "gt.jsonl") == _sha(b / "gt.jsonl")
+    assert sha256_of(a / "log.jsonl") == sha256_of(b / "log.jsonl")
+    assert sha256_of(a / "gt.jsonl") == sha256_of(b / "gt.jsonl")
 
 
 def test_detect_without_texts_writes_empty_loops(run_dir, tmp_path):
@@ -67,6 +62,10 @@ def test_detect_golden_constraint_count(run_dir):
     ]
     assert len(loops) == 31
     assert all(c.frame_j < c.frame_i for c in loops)
+
+
+def test_detect_loops_match_golden(run_dir):
+    assert_golden("detect_corridor_seed3", {"loops.jsonl": sha256_of(run_dir / "loops.jsonl")})
 
 
 def test_single_sign_revisit_gives_one_constraint(run_dir, tmp_path):

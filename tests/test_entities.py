@@ -418,3 +418,40 @@ def test_extract_entities_window_matches_full_scan(monkeypatch):
         frames = seen.pop()
         assert [t for t, _, _ in frames] == [t for t, _, _ in full_scan]
         assert all(p is q and a is b for (_, p, a), (_, q, b) in zip(frames, full_scan))
+
+
+def _bracket_searchsorted(stamps, t_image):
+    """The earlier vectorised _bracket, kept as the oracle for the bisect version."""
+    stamps = np.asarray(stamps, dtype=float)
+    if len(stamps) == 0:
+        raise UnbracketedTimestamp("empty odometry")
+    i = int(np.searchsorted(stamps, t_image + entities_module.STAMP_EPSILON, side="right")) - 1
+    if i < 0:
+        raise UnbracketedTimestamp("before")
+    if abs(stamps[i] - t_image) <= entities_module.STAMP_EPSILON:
+        return i, 0.0
+    if i + 1 >= len(stamps):
+        raise UnbracketedTimestamp("after")
+    return i, (t_image - stamps[i]) / (stamps[i + 1] - stamps[i])
+
+
+def _outcome(fn, stamps, t_image):
+    try:
+        return fn(stamps, t_image)
+    except UnbracketedTimestamp:
+        return "unbracketed"
+
+
+def test_bracket_matches_searchsorted_oracle():
+    rng = np.random.default_rng(21)
+    eps = entities_module.STAMP_EPSILON
+    stamps = np.cumsum(rng.uniform(0.05, 0.15, size=200)).tolist()
+    queries = list(rng.uniform(stamps[0], stamps[-1], size=300))
+    queries += stamps[::7]  # exactly on a stamp
+    queries += [s + 0.5 * eps for s in stamps[1::11]] + [s - 0.5 * eps for s in stamps[2::11]]
+    queries += [stamps[0] - 1.0, stamps[0] - 2 * eps, stamps[-1] + 2 * eps, stamps[-1] + 1.0]
+    for t_image in queries:
+        assert _outcome(entities_module._bracket, stamps, t_image) == _outcome(
+            _bracket_searchsorted, stamps, t_image
+        )
+    assert _outcome(entities_module._bracket, [], 0.0) == "unbracketed"

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from textloop.cli import main
 from textloop.entities import TextDetection
 from textloop.geometry import Pose, exp_map
 from textloop.logio import (
@@ -92,6 +95,7 @@ def test_simulation_records_ordered_and_complete(tmp_path):
         world, default_route("corridor", laps=1), default_rig(), NoiseModel(), seed=1
     )
     log, gt = simulation_to_records(result)
+    log = list(log)
     assert log[0]["type"] == "calib"
     stamps = [r["t"] for r in log[1:] if r["type"] in ("odom", "texts")]
     assert stamps == sorted(stamps)
@@ -126,3 +130,132 @@ def test_gt_records_read_as_trajectory(tmp_path):
     stamps, recovered = read_trajectory(path)
     assert stamps == [None, None, None]
     assert all(g.is_close(p, tol=1e-12) for g, p in zip(recovered, poses))
+
+
+def _records_oracle(result) -> tuple[list[dict], list[dict]]:
+    """The earlier list-building simulation_to_records, kept as the oracle."""
+    log: list[dict] = [calib_record(result.rig)]
+    events: list[tuple[float, int, dict]] = []
+    for frame, (t, pose) in enumerate(zip(result.stamps, result.odom_poses)):
+        events.append((float(t), 0, odom_record(t, frame, pose)))
+        events.append((float(t), 1, cloud_record(frame, result.clouds[frame])))
+    for t_image, detections in result.camera:
+        if detections:
+            events.append((float(t_image), 2, texts_record(t_image, detections)))
+    events.sort(key=lambda item: (item[0], item[1]))
+    log.extend(record for _, _, record in events)
+    gt = [gt_record(frame, pose) for frame, pose in enumerate(result.gt_poses)]
+    return log, gt
+
+
+@pytest.fixture(scope="module")
+def corridor_lap():
+    world = build_world("corridor", seed=2)
+    return simulate(world, default_route("corridor", laps=1), default_rig(), NoiseModel(), seed=2)
+
+
+@pytest.fixture(scope="module")
+def corridor_log(corridor_lap, tmp_path_factory):
+    path = tmp_path_factory.mktemp("lap") / "log.jsonl"
+    log, _ = simulation_to_records(corridor_lap)
+    write_log(path, log)
+    return path
+
+
+def _assert_streamed_log_matches_oracle(result, tmp_path):
+    streamed, oracle = tmp_path / "streamed.jsonl", tmp_path / "oracle.jsonl"
+    log, gt = simulation_to_records(result)
+    write_log(streamed, log)
+    oracle_log, oracle_gt = _records_oracle(result)
+    write_log(oracle, oracle_log)
+    assert streamed.read_bytes() == oracle.read_bytes()
+    assert gt == oracle_gt
+
+
+def test_streamed_records_byte_equal_to_list_oracle(corridor_lap, tmp_path):
+    _assert_streamed_log_matches_oracle(corridor_lap, tmp_path)
+
+
+def test_streamed_records_keep_tie_order(tmp_path):
+    rng = np.random.default_rng(4)
+    poses = [_random_pose(rng) for _ in range(3)]
+
+    def detection(content, t):
+        return TextDetection(content, 0.9, rng.uniform(0, 50, (4, 2)), t)
+
+    # two images at t = 0.1 (itself an odometry stamp), one empty, one after the last frame
+    result = SimpleNamespace(
+        rig=default_rig(),
+        stamps=np.array([0.0, 0.1, 0.2]),
+        odom_poses=poses,
+        gt_poses=poses,
+        clouds=[rng.normal(size=(k + 1, 3)) for k in range(3)],
+        camera=[
+            (0.1, [detection("B", 0.1)]),
+            (0.05, []),
+            (0.1, [detection("A", 0.1), detection("C", 0.1)]),
+            (0.25, [detection("D", 0.25)]),
+        ],
+    )
+    _assert_streamed_log_matches_oracle(result, tmp_path)
+    log, _ = simulation_to_records(result)
+    texts = [r["detections"][0]["text"] for r in log if r["type"] == "texts"]
+    assert texts == ["B", "A", "D"]
+
+
+def test_read_trajectory_equals_full_parse(corridor_log):
+    rows = sorted(
+        (r.payload["frame"], float(r.payload["t"]), parse_pose(r.payload["pose"], r.line))
+        for r in read_log(corridor_log)
+        if r.kind == "odom"
+    )
+    stamps, poses = read_trajectory(corridor_log)
+    assert stamps == [t for _, t, _ in rows]
+    assert len(poses) == len(rows)
+    for got, (_, _, expected) in zip(poses, rows):
+        assert got.rotation.tobytes() == expected.rotation.tobytes()
+        assert got.translation.tobytes() == expected.translation.tobytes()
+
+
+def _cloud_line_cut_in_half(log_path, out_path) -> int:
+    lines = log_path.read_text().splitlines()
+    number = next(k for k, line in enumerate(lines, start=1) if line.startswith('{"type":"cloud"'))
+    lines[number - 1] = lines[number - 1][: len(lines[number - 1]) // 2]
+    out_path.write_text("\n".join(lines) + "\n")
+    return number
+
+
+def test_truncated_cloud_line_still_reported(corridor_log, tmp_path, capsys):
+    broken = tmp_path / "broken.jsonl"
+    number = _cloud_line_cut_in_half(corridor_log, broken)
+    with pytest.raises(LogFormatError, match=f"line {number}:"):
+        read_trajectory(broken)
+    loops = tmp_path / "loops.jsonl"
+    loops.write_text("")
+    rc = main(
+        ["optimize", "--log", str(broken), "--loops", str(loops), "--out", str(tmp_path / "traj.jsonl")]
+    )
+    assert rc == 2
+    assert f"line {number}:" in capsys.readouterr().err
+
+
+def test_reordered_cloud_record_still_validated(tmp_path):
+    rng = np.random.default_rng(2)
+    path = tmp_path / "log.jsonl"
+    write_log(path, [odom_record(0.0, 0, _random_pose(rng))])
+    with open(path, "a") as handle:
+        handle.write('{"frame":0,"type":"cloud"}\n')
+    with pytest.raises(LogFormatError, match="line 2: cloud record missing 'points'"):
+        read_trajectory(path)
+
+
+def test_malformed_odom_line_reported_by_trajectory_reader(corridor_log, tmp_path):
+    lines = corridor_log.read_text().splitlines()
+    number = next(
+        k for k, line in enumerate(lines, start=1) if k > 10 and line.startswith('{"type":"odom"')
+    )
+    lines[number - 1] = lines[number - 1][:-5]
+    broken = tmp_path / "odom.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogFormatError, match=f"line {number}:"):
+        read_trajectory(broken)

@@ -344,3 +344,23 @@ def test_candidate_within_icp_slack_reaches_icp(monkeypatch, contents, category)
     assert len(constraints) == 1
     assert (constraints[0].frame_i, constraints[0].frame_j) == (34, 2)
     assert constraints[0].relative_pose.is_close(refined, tol=1e-12)
+
+
+def test_cum_path_bit_equal_to_append_sequence():
+    rng = np.random.default_rng(8)
+    state = DetectorState()
+    reference = np.zeros(0)
+    position = np.zeros(3)
+    for frame in range(1000):
+        position = position + rng.normal(scale=0.3, size=3)
+        pose = Pose(np.eye(3), position)
+        if frame == 0:
+            reference = np.zeros(1)
+        else:
+            step = float(np.linalg.norm(pose.translation - state.poses[-1].translation))
+            reference = np.append(reference, reference[-1] + step)
+        assert state.add_odometry(0.1 * frame, pose) == frame
+        assert isinstance(state.cum_path, np.ndarray)
+        assert state.cum_path.tobytes() == reference.tobytes()
+    for j, i in rng.integers(0, 1000, size=(200, 2)):
+        assert state.travel_between(j, i) == float(reference[i] - reference[j])
