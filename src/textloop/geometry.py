@@ -116,6 +116,110 @@ def _v_matrix_inverse(theta: np.ndarray) -> np.ndarray:
     return np.eye(3) - 0.5 * k + g * (k @ k)
 
 
+# Stacked twins of the functions above, for (..., 3) and (..., 3, 3) inputs.
+# Each row gets the same bits as the one-row function: they repeat its
+# operations in its order and memory layout, with three substitutions that
+# numpy needs for that.  The row norm is sqrt(v @ v), because
+# np.linalg.norm(axis=-1) rounds differently from the 1-D norm; powers use
+# np.float_power, because array ** takes a SIMD pow that rounds differently
+# from Python's float **; and each branch runs on its own rows only, so no
+# row divides by a zero angle.
+# The one-row functions stay for the per-frame callers (simulate,
+# interpolate): a stacked call on one row costs about 3x more (39 vs 13 us
+# for the rotation exponential, 55 vs 15 us for the logarithm, measured on
+# a 2-vCPU VM).
+
+_pow = np.float_power
+
+
+def _norm_stacked(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _skew_stacked(v: np.ndarray) -> np.ndarray:
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def _by_angle(angle: np.ndarray, series, closed) -> list[np.ndarray]:
+    """Coefficients per row: series(angle) below _SMALL_ANGLE, closed(angle) from it on."""
+    low = angle < _SMALL_ANGLE
+    coeffs = []
+    for below, above in zip(series(angle[low]), closed(angle[~low])):
+        c = np.empty(angle.shape)
+        c[low] = below
+        c[~low] = above
+        coeffs.append(c[..., None, None])
+    return coeffs
+
+
+def _so3_exp_stacked(theta: np.ndarray) -> np.ndarray:
+    k = _skew_stacked(theta)
+    a, b = _by_angle(
+        _norm_stacked(theta),
+        lambda x: (
+            1.0 - _pow(x, 2) / 6.0 + _pow(x, 4) / 120.0,
+            0.5 - _pow(x, 2) / 24.0 + _pow(x, 4) / 720.0,
+        ),
+        lambda x: (np.sin(x) / x, (1.0 - np.cos(x)) / _pow(x, 2)),
+    )
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+def _so3_log_stacked(rot: np.ndarray) -> np.ndarray:
+    """Rows within 1e-3 of pi go through _so3_log, which raises for the first one too close."""
+    cos_angle = np.clip((np.trace(rot, axis1=-2, axis2=-1) - 1.0) * 0.5, -1.0, 1.0)
+    angle = np.arccos(cos_angle)
+    vee = np.stack(
+        [
+            rot[..., 2, 1] - rot[..., 1, 2],
+            rot[..., 0, 2] - rot[..., 2, 0],
+            rot[..., 1, 0] - rot[..., 0, 1],
+        ],
+        axis=-1,
+    )
+    low = angle < _SMALL_ANGLE
+    near = np.pi - angle < 1e-3
+    mid = ~(low | near)
+    out = np.empty(vee.shape)
+    x = angle[low]
+    out[low] = (0.5 * (1.0 + _pow(x, 2) / 6.0 + 7.0 * _pow(x, 4) / 360.0))[..., None] * vee[low]
+    x = angle[mid]
+    out[mid] = (0.5 * x / np.sin(x))[..., None] * vee[mid]
+    for index in zip(*np.nonzero(near)):
+        out[index] = _so3_log(rot[index])
+    return out
+
+
+def _v_matrix_stacked(theta: np.ndarray) -> np.ndarray:
+    k = _skew_stacked(theta)
+    b, c = _by_angle(
+        _norm_stacked(theta),
+        lambda x: (
+            0.5 - _pow(x, 2) / 24.0 + _pow(x, 4) / 720.0,
+            1.0 / 6.0 - _pow(x, 2) / 120.0 + _pow(x, 4) / 5040.0,
+        ),
+        lambda x: ((1.0 - np.cos(x)) / _pow(x, 2), (x - np.sin(x)) / _pow(x, 3)),
+    )
+    return np.eye(3) + b * k + c * (k @ k)
+
+
+def _v_matrix_inverse_stacked(theta: np.ndarray) -> np.ndarray:
+    k = _skew_stacked(theta)
+    (g,) = _by_angle(
+        _norm_stacked(theta),
+        lambda x: (1.0 / 12.0 + _pow(x, 2) / 720.0 + _pow(x, 4) / 30240.0,),
+        lambda x: ((1.0 - 0.5 * x * np.cos(0.5 * x) / np.sin(0.5 * x)) / _pow(x, 2),),
+    )
+    return np.eye(3) - 0.5 * k + g * (k @ k)
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform: p_out = rotation @ p_in + translation."""
@@ -307,6 +411,19 @@ def log_map(pose: Pose) -> np.ndarray:
     return np.concatenate([rho, theta])
 
 
+def exp_map_stacked(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp_map of each (..., 6) twist, as (rotations, translations)."""
+    rho, theta = xi[..., :3], xi[..., 3:]
+    return _so3_exp_stacked(theta), (_v_matrix_stacked(theta) @ rho[..., None])[..., 0]
+
+
+def log_map_stacked(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
+    """log_map of each pose given as (..., 3, 3) rotations and (..., 3) translations."""
+    theta = _so3_log_stacked(rotations)
+    rho = (_v_matrix_inverse_stacked(theta) @ translations[..., None])[..., 0]
+    return np.concatenate([rho, theta], axis=-1)
+
+
 def interpolate(pose: Pose, factor: float) -> Pose:
     """Geodesic interpolation from identity (factor 0) to pose (factor 1)."""
     if not 0.0 <= factor <= 1.0:
@@ -314,28 +431,32 @@ def interpolate(pose: Pose, factor: float) -> Pose:
     return exp_map(factor * log_map(pose))
 
 
-def adjoint(pose: Pose) -> np.ndarray:
-    """6x6 adjoint of a Pose for the [rho, theta] layout."""
-    out = np.zeros((6, 6))
-    out[:3, :3] = pose.rotation
-    out[:3, 3:] = _skew(pose.translation) @ pose.rotation
-    out[3:, 3:] = pose.rotation
+def adjoint(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """6x6 adjoints, [rho, theta] layout, of (..., 3, 3) rotations and (..., 3) translations."""
+    out = np.zeros(rotation.shape[:-2] + (6, 6))
+    out[..., :3, :3] = rotation
+    out[..., :3, 3:] = _skew_stacked(translation) @ rotation
+    out[..., 3:, 3:] = rotation
     return out
 
 
 def _q_matrix(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Translation-rotation coupling block of the SE(3) left Jacobian."""
-    angle = float(np.linalg.norm(theta))
-    cr = _skew(rho)
-    cp = _skew(theta)
-    if angle < _SMALL_ANGLE:
-        c1 = 1.0 / 6.0 - angle**2 / 120.0
-        c2 = 1.0 / 24.0 - angle**2 / 720.0
-        c3 = -1.0 / 120.0 + angle**2 / 5040.0
-    else:
-        c1 = (angle - np.sin(angle)) / angle**3
-        c2 = (1.0 - 0.5 * angle**2 - np.cos(angle)) / angle**4
-        c3 = (angle - np.sin(angle) - angle**3 / 6.0) / angle**5
+    """Translation-rotation coupling block of the SE(3) left Jacobian, per (..., 3) row."""
+    cr = _skew_stacked(rho)
+    cp = _skew_stacked(theta)
+    c1, c2, c3 = _by_angle(
+        _norm_stacked(theta),
+        lambda x: (
+            1.0 / 6.0 - _pow(x, 2) / 120.0,
+            1.0 / 24.0 - _pow(x, 2) / 720.0,
+            -1.0 / 120.0 + _pow(x, 2) / 5040.0,
+        ),
+        lambda x: (
+            (x - np.sin(x)) / _pow(x, 3),
+            (1.0 - 0.5 * _pow(x, 2) - np.cos(x)) / _pow(x, 4),
+            (x - np.sin(x) - _pow(x, 3) / 6.0) / _pow(x, 5),
+        ),
+    )
     cpcr = cp @ cr
     crcp = cr @ cp
     cpcrcp = cpcr @ cp
@@ -349,20 +470,21 @@ def _q_matrix(rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def se3_left_jacobian_inverse(xi: np.ndarray) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float).reshape(6)
-    rho, theta = xi[:3], xi[3:]
-    v_inv = _v_matrix_inverse(theta)
+    """Inverse SE(3) left Jacobian of each (..., 6) twist."""
+    xi = np.asarray(xi, dtype=float)
+    rho, theta = xi[..., :3], xi[..., 3:]
+    v_inv = _v_matrix_inverse_stacked(theta)
     q = _q_matrix(rho, theta)
-    out = np.zeros((6, 6))
-    out[:3, :3] = v_inv
-    out[3:, 3:] = v_inv
-    out[:3, 3:] = -v_inv @ q @ v_inv
+    out = np.zeros(xi.shape[:-1] + (6, 6))
+    out[..., :3, :3] = v_inv
+    out[..., 3:, 3:] = v_inv
+    out[..., :3, 3:] = -v_inv @ q @ v_inv
     return out
 
 
 def se3_right_jacobian_inverse(xi: np.ndarray) -> np.ndarray:
-    """Jacobian of xi -> log(exp(xi) exp(delta)) in delta at zero."""
-    return se3_left_jacobian_inverse(-np.asarray(xi, dtype=float).reshape(6))
+    """Jacobian of xi -> log(exp(xi) exp(delta)) in delta at zero, per (..., 6) twist."""
+    return se3_left_jacobian_inverse(-np.asarray(xi, dtype=float))
 
 
 def rotation_to_quaternion(rot: np.ndarray) -> np.ndarray:

@@ -3,6 +3,9 @@
 Nodes are absolute poses; each edge measures the pose of node j expressed in
 node i's frame.  Levenberg-Marquardt with analytic Jacobians and a sparse
 normal-equation solve.  The first node is held fixed to pin the gauge freedom.
+Residuals, Jacobians, costs and the retraction are evaluated for all edges
+(or nodes) at once on stacked arrays: rotations (N, 3, 3), translations
+(N, 3), one row per edge or node.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ import numpy as np
 from scipy.sparse import coo_matrix, identity as sparse_identity
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from .geometry import Pose, adjoint, exp_map, log_map, se3_right_jacobian_inverse
+from .geometry import (
+    Pose,
+    adjoint,
+    exp_map_stacked,
+    log_map_stacked,
+    se3_right_jacobian_inverse,
+)
 from .loop_closure import LoopConstraint
 
 ODOM_SIGMA_T = 0.02
@@ -51,22 +60,43 @@ class OptimizationReport:
     converged: bool
 
 
-def _robust_cost(s: float, delta: float | None) -> float:
-    if delta is None or s <= delta * delta:
-        return s
-    return 2.0 * delta * np.sqrt(s) - delta * delta
+def stack_poses(poses) -> tuple[np.ndarray, np.ndarray]:
+    """(rotations (N, 3, 3), translations (N, 3)) of a sequence of poses."""
+    rotations = np.array([p.rotation for p in poses]).reshape(-1, 3, 3)
+    return rotations, np.array([p.translation for p in poses]).reshape(-1, 3)
 
 
-def _robust_weight(s: float, delta: float | None) -> float:
-    if delta is None or s <= delta * delta:
-        return 1.0
-    return delta / np.sqrt(s)
+def _inverse(rot, trans):
+    # Pose.inverse; like the Pose it makes, the rotation keeps the transposed
+    # layout, which decides how BLAS rounds the products taken with it
+    rot_t = np.swapaxes(rot, -1, -2)
+    return rot_t, (-rot_t @ trans[..., None])[..., 0]
+
+
+def _compose(rot_a, trans_a, rot_b, trans_b):
+    return rot_a @ rot_b, (rot_a @ trans_b[..., None])[..., 0] + trans_a
+
+
+def _quadratic(r, info) -> np.ndarray:
+    """r_k^T info_k r_k for each row k."""
+    return ((r[:, None, :] @ info) @ r[:, :, None])[:, 0, 0]
+
+
+class _EdgeStack:
+    """The edges as arrays: endpoints, inverted measurements, information."""
+
+    def __init__(self, edges):
+        self.i = np.array([e.i for e in edges], dtype=np.int64)
+        self.j = np.array([e.j for e in edges], dtype=np.int64)
+        self.meas_inv = _inverse(*stack_poses([e.measured for e in edges]))
+        self.info = np.array([e.information for e in edges]).reshape(-1, 6, 6)
 
 
 class PoseGraph:
     def __init__(self, nodes):
         self.nodes: list[Pose] = list(nodes)
         self.edges: list[PoseGraphEdge] = []
+        self._edge_stack: _EdgeStack | None = None
 
     @classmethod
     def from_odometry(
@@ -94,55 +124,72 @@ class PoseGraph:
             constraint.information,
         )
 
-    def residual(self, edge: PoseGraphEdge, nodes=None) -> np.ndarray:
-        nodes = self.nodes if nodes is None else nodes
-        x = nodes[edge.i].inverse() @ nodes[edge.j]
-        return log_map(edge.measured.inverse() @ x)
+    def _edges(self) -> _EdgeStack:
+        """The edges as arrays, made again when edges were added."""
+        if self._edge_stack is None or len(self._edge_stack.i) != len(self.edges):
+            self._edge_stack = _EdgeStack(self.edges)
+        return self._edge_stack
 
-    def edge_jacobians(self, edge: PoseGraphEdge):
-        """Residual and its derivatives for right perturbations of the two nodes."""
-        x = self.nodes[edge.i].inverse() @ self.nodes[edge.j]
-        r = log_map(edge.measured.inverse() @ x)
+    def _relative(self, nodes):
+        """Relative poses x = nodes[i]^-1 nodes[j] and (E, 6) residuals of all edges."""
+        rot, trans = stack_poses(self.nodes) if nodes is None else nodes
+        edges = self._edges()
+        x = _compose(*_inverse(rot[edges.i], trans[edges.i]), rot[edges.j], trans[edges.j])
+        return x, log_map_stacked(*_compose(*edges.meas_inv, *x))
+
+    def edge_jacobians(self, nodes=None):
+        """Residuals (E, 6) and their (E, 6, 6) derivatives for right perturbations of i and j.
+
+        nodes are stacked (rotations, translations), as stack_poses makes
+        them; by default self.nodes.
+        """
+        x, r = self._relative(nodes)
         jr_inv = se3_right_jacobian_inverse(r)
-        return r, -jr_inv @ adjoint(x.inverse()), jr_inv
+        return r, -jr_inv @ adjoint(*_inverse(*x)), jr_inv
 
     def cost(self, nodes=None, huber_delta: float | None = None) -> float:
+        """Sum over edges of r^T info r, Huber-robustified past huber_delta^2."""
+        s = _quadratic(self._relative(nodes)[1], self._edges().info)
+        if huber_delta is not None:
+            over = ~(s <= huber_delta * huber_delta)
+            s[over] = 2.0 * huber_delta * np.sqrt(s[over]) - huber_delta * huber_delta
         total = 0.0
-        for edge in self.edges:
-            r = self.residual(edge, nodes)
-            total += _robust_cost(float(r @ edge.information @ r), huber_delta)
+        for value in s.tolist():  # left to right: np.sum would round differently
+            total += value
         return total
 
-    def _linearize(self, huber_delta):
-        dim = 6 * (len(self.nodes) - 1)
-        rows, cols, vals = [], [], []
-        b = np.zeros(dim)
+    def _linearize(self, nodes, huber_delta):
+        r, j_i, j_j = self.edge_jacobians(nodes)
+        edges = self._edges()
+        info = edges.info
+        if huber_delta is not None:
+            s = _quadratic(r, info)
+            weight = np.ones(len(s))
+            over = ~(s <= huber_delta * huber_delta)
+            weight[over] = huber_delta / np.sqrt(s[over])
+            info = info * weight[:, None, None]
+        jacs = (j_i, j_j)
+        jt_info = [np.swapaxes(jac, 1, 2) @ info for jac in jacs]
+        # per edge the blocks (i, i), (i, j), (j, i), (j, j) in this order, and
+        # b in edge order, so that duplicates sum in the order they always have
+        var = np.stack([edges.i - 1, edges.j - 1], axis=1)  # -1: node 0, held fixed
+        row, col = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        blocks = np.stack([jt_info[a] @ jacs[c] for a, c in zip(row, col)], axis=1)
+        keep = (var[:, row] >= 0) & (var[:, col] >= 0)
         span = np.arange(6)
-        for edge in self.edges:
-            r, j_i, j_j = self.edge_jacobians(edge)
-            weight = _robust_weight(float(r @ edge.information @ r), huber_delta)
-            info = edge.information * weight
-            blocks = []
-            if edge.i > 0:
-                blocks.append((edge.i - 1, j_i))
-            if edge.j > 0:
-                blocks.append((edge.j - 1, j_j))
-            for var_a, jac_a in blocks:
-                b[6 * var_a : 6 * var_a + 6] += jac_a.T @ info @ r
-                for var_b, jac_b in blocks:
-                    rows.append(np.repeat(6 * var_a + span, 6))
-                    cols.append(np.tile(6 * var_b + span, 6))
-                    vals.append((jac_a.T @ info @ jac_b).ravel())
-        if vals:
-            h = coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(dim, dim),
-            ).tocsr()
-        else:
-            h = coo_matrix((dim, dim)).tocsr()
+        rows = np.repeat(6 * var[:, row][keep][:, None] + span, 6, axis=1)
+        cols = np.tile(6 * var[:, col][keep][:, None] + span, 6)
+        dim = 6 * (len(self.nodes) - 1)
+        h = coo_matrix(
+            (blocks[keep].ravel(), (rows.ravel(), cols.ravel())), shape=(dim, dim)
+        ).tocsr()
+        grad = np.stack([(jt @ r[:, :, None])[:, :, 0] for jt in jt_info], axis=1)
+        b = np.zeros(dim)
+        np.add.at(b, (6 * var[var >= 0][:, None] + span).ravel(), grad[var >= 0].ravel())
         return h, b
 
-    def _solve(self, h, b, lam):
+    @staticmethod
+    def _solve(h, b, lam):
         dim = h.shape[0]
         system = (h + lam * sparse_identity(dim, format="csr")).tocsc()
         with warnings.catch_warnings():
@@ -156,11 +203,14 @@ class PoseGraph:
             raise SingularNormalEquations("normal equation solve produced non-finite step")
         return delta
 
-    def _retract(self, delta):
-        nodes = [self.nodes[0]]
-        for k in range(1, len(self.nodes)):
-            nodes.append(self.nodes[k] @ exp_map(delta[6 * (k - 1) : 6 * k]))
-        return nodes
+    @staticmethod
+    def _retract(nodes, delta):
+        """nodes[k] exp(delta_k) for k >= 1; node 0 stays."""
+        rot, trans = nodes
+        step_rot, step_trans = exp_map_stacked(delta.reshape(-1, 6))
+        moved_rot, moved_trans = rot.copy(), trans.copy()
+        moved_rot[1:], moved_trans[1:] = _compose(rot[1:], trans[1:], step_rot, step_trans)
+        return moved_rot, moved_trans
 
     def optimize(
         self,
@@ -170,7 +220,8 @@ class PoseGraph:
         tolerance: float = 1e-12,
     ) -> OptimizationReport:
         """Minimize the weighted residual cost in place; node 0 never moves."""
-        cost = self.cost(huber_delta=huber_delta)
+        nodes = stack_poses(self.nodes)
+        cost = self.cost(nodes, huber_delta)
         initial = cost
         if len(self.nodes) <= 1 or not self.edges:
             return OptimizationReport(initial, cost, 0, True)
@@ -181,15 +232,15 @@ class PoseGraph:
             if cost < _COST_FLOOR:
                 converged = True
                 break
-            h, b = self._linearize(huber_delta)
+            h, b = self._linearize(nodes, huber_delta)
             improved = False
             while lam <= _LAMBDA_MAX:
                 delta = self._solve(h, b, lam)
-                trial = self._retract(delta)
-                trial_cost = self.cost(nodes=trial, huber_delta=huber_delta)
+                trial = self._retract(nodes, delta)
+                trial_cost = self.cost(trial, huber_delta)
                 if trial_cost < cost:
                     decrease = cost - trial_cost
-                    self.nodes = trial
+                    nodes = trial
                     cost = trial_cost
                     lam = max(lam * 0.3, _LAMBDA_MIN)
                     improved = True
@@ -205,4 +256,6 @@ class PoseGraph:
                 break
             if converged:
                 break
+        rot, trans = nodes
+        self.nodes = [self.nodes[0]] + [Pose(r, t) for r, t in zip(rot[1:], trans[1:])]
         return OptimizationReport(initial, cost, iteration, converged)

@@ -19,10 +19,18 @@ from textloop.association import (
     build_consistency_graph,
     putative_associations,
 )
-from textloop.cli import main
+from textloop.cli import main, optimize_trajectory, run_detector
+from textloop.config import load_config
+from textloop.simulator import NoiseModel, build_world, default_rig, default_route, simulate
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 PIPELINE_ARTIFACTS = ("log.jsonl", "gt.jsonl", "loops.jsonl", "traj.jsonl", "report.json")
+
+ACCEPT_NOISE = NoiseModel(
+    odom_sigma=np.array([0.005] * 3 + [0.0] * 3),
+    misread_prob=0.05,
+    detect_prob=0.8,
+)
 
 
 def brute_force_densest_subset(graph: ConsistencyGraph) -> list[int]:
@@ -136,3 +144,40 @@ def assert_golden(group: str, digests: dict[str, str]) -> None:
         f"{group}: {', '.join(moved) or 'artifact set'} differ from tests/golden.json, "
         f"made with {golden['versions']}; this run uses {library_versions()}"
     )
+
+
+def simulate_detect_optimize_multifloor():
+    """Twenty seeded multifloor runs: simulate, detect, optimize.
+
+    Returns (result, constraints, nodes, report) for seeds 0-19, in seed order.
+    """
+    config = load_config(None, environ={})
+    rig = default_rig()
+    route = default_route("multifloor")
+    runs = []
+    for seed in range(20):
+        world = build_world("multifloor", seed=seed)
+        result = simulate(world, route, rig, noise=ACCEPT_NOISE, seed=seed)
+        constraints = run_detector(result, config).constraints
+        nodes, report = optimize_trajectory(result.odom_poses, constraints, config)
+        runs.append((result, constraints, nodes, report))
+    return runs
+
+
+def run_digests(runs) -> dict[str, str]:
+    """sha256 per run of its constraint lines and of its optimized poses.
+
+    The constraint lines are the bytes the CLI's detect writes to loops.jsonl;
+    the poses digest hashes every node's rotation and translation as float64,
+    so a single changed bit shows.
+    """
+    digests = {}
+    for seed, (_, constraints, nodes, _) in enumerate(runs):
+        lines = "".join(json.dumps(c.to_json(), separators=(",", ":")) + "\n" for c in constraints)
+        poses = hashlib.sha256()
+        for pose in nodes:
+            poses.update(pose.rotation.tobytes())
+            poses.update(pose.translation.tobytes())
+        digests[f"seed{seed}/loops"] = hashlib.sha256(lines.encode("utf-8")).hexdigest()
+        digests[f"seed{seed}/poses"] = poses.hexdigest()
+    return digests

@@ -18,8 +18,10 @@ from helpers import (  # noqa: E402
     GOLDEN_PATH,
     cli_pipeline,
     library_versions,
+    run_digests,
     sha256_of,
     simulate_and_detect,
+    simulate_detect_optimize_multifloor,
 )
 
 
@@ -33,6 +35,7 @@ def main() -> None:
         "versions": library_versions(),
         "pipeline_corridor_seed5": pipeline,
         "detect_corridor_seed3": loops,
+        "multifloor_runs": run_digests(simulate_detect_optimize_multifloor()),
     }
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n")
     print(f"wrote {GOLDEN_PATH}")

@@ -15,9 +15,11 @@ from helpers import (
     brute_force_densest_subset,
     cli_pipeline,
     random_consistency_instance,
+    run_digests,
+    simulate_detect_optimize_multifloor,
 )
 from textloop.association import set_density, solve_consistent_set
-from textloop.cli import optimize_trajectory, run_detector
+from textloop.cli import run_detector
 from textloop.config import PipelineConfig, load_config
 from textloop.entities import TextCategory, TextEntity
 from textloop.evaluation import ate, label_loop_poses, score
@@ -44,27 +46,10 @@ from textloop.simulator import (
     simulate,
 )
 
-ACCEPT_NOISE = NoiseModel(
-    odom_sigma=np.array([0.005] * 3 + [0.0] * 3),
-    misread_prob=0.05,
-    detect_prob=0.8,
-)
-
-
 @pytest.fixture(scope="module")
 def multifloor_runs():
     """Twenty seeded multifloor runs: simulate, detect, optimize."""
-    config = load_config(None, environ={})
-    rig = default_rig()
-    route = default_route("multifloor")
-    runs = []
-    for seed in range(20):
-        world = build_world("multifloor", seed=seed)
-        result = simulate(world, route, rig, noise=ACCEPT_NOISE, seed=seed)
-        constraints = run_detector(result, config).constraints
-        nodes, report = optimize_trajectory(result.odom_poses, constraints, config)
-        runs.append((result, constraints, nodes, report))
-    return runs
+    return simulate_detect_optimize_multifloor()
 
 
 def test_geometry_round_trips_within_tolerance_and_time_budget():
@@ -174,6 +159,8 @@ def test_multifloor_trajectory_error_reduction(multifloor_runs):
         reductions.append(1.0 - err_opt / err_odom)
     assert wins >= 19
     assert float(np.median(reductions)) >= 0.5
+    # the same constraints and the same optimized poses, bit for bit, on every seed
+    assert_golden("multifloor_runs", run_digests(multifloor_runs))
 
 
 def _square_pose(k: int) -> Pose:

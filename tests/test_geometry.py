@@ -15,6 +15,14 @@ from textloop.geometry import (
     PlaneParams,
     Pose,
     RayParallelToPlane,
+    _so3_exp,
+    _so3_exp_stacked,
+    _so3_log,
+    _so3_log_stacked,
+    _v_matrix,
+    _v_matrix_inverse,
+    _v_matrix_inverse_stacked,
+    _v_matrix_stacked,
     adjoint,
     backproject,
     depth_from_plane,
@@ -260,7 +268,7 @@ def test_adjoint_conjugation_identity():
         pose = random_pose(rng, max_angle=2.0)
         xi = rng.uniform(-0.5, 0.5, size=6)
         lhs = log_map(pose @ exp_map(xi) @ pose.inverse())
-        np.testing.assert_allclose(lhs, adjoint(pose) @ xi, atol=1e-9)
+        np.testing.assert_allclose(lhs, adjoint(pose.rotation, pose.translation) @ xi, atol=1e-9)
 
 
 def test_right_jacobian_inverse_matches_finite_differences():
@@ -279,6 +287,52 @@ def test_right_jacobian_inverse_matches_finite_differences():
             minus = log_map(base @ exp_map(-delta))
             numeric[:, col] = (plus - minus) / (2.0 * eps)
         assert np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric) < 1e-5
+
+
+def _rotation_vectors(rng):
+    """Random, tiny (series branch), zero and near-pi (log fallback band) rotation vectors."""
+    axes = rng.normal(size=(400, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = np.concatenate(
+        [
+            rng.uniform(0.0, 3.0, size=100),
+            10.0 ** rng.uniform(-9.0, -4.0, size=100),
+            np.pi - 10.0 ** rng.uniform(-6.0, -3.0, size=100),
+            rng.uniform(1e-4, 2e-4, size=100),
+        ]
+    )
+    thetas = angles[:, None] * axes
+    thetas[0] = 0.0
+    return thetas
+
+
+def test_stacked_so3_and_v_matrices_match_one_row_functions_bitwise():
+    thetas = _rotation_vectors(np.random.default_rng(59))
+    pairs = (
+        (_so3_exp_stacked, _so3_exp),
+        (_v_matrix_stacked, _v_matrix),
+        (_v_matrix_inverse_stacked, _v_matrix_inverse),
+    )
+    for stacked, one_row in pairs:
+        got = stacked(thetas)
+        assert got.shape == (len(thetas), 3, 3)
+        for row, theta in zip(got, thetas):
+            assert np.array_equal(row, one_row(theta))
+    rotations = _so3_exp_stacked(thetas)
+    logs = _so3_log_stacked(rotations)
+    for row, rot in zip(logs, rotations):
+        assert np.array_equal(row, _so3_log(rot))
+    # leading axes beyond one
+    assert np.array_equal(_so3_log_stacked(rotations.reshape(20, 20, 3, 3)), logs.reshape(20, 20, 3))
+
+
+def test_stacked_so3_log_raises_for_first_row_at_pi():
+    rotations = _so3_exp_stacked(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, np.pi], [0.0, np.pi, 0.0]]))
+    with pytest.raises(NearPiRotation) as expected:
+        _so3_log(rotations[1])
+    with pytest.raises(NearPiRotation) as got:
+        _so3_log_stacked(rotations)
+    assert str(got.value) == str(expected.value)
 
 
 def test_plane_params_normalizes_input():

@@ -2,14 +2,25 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
-from textloop.geometry import Pose, exp_map, random_pose
+from textloop.geometry import (
+    _SMALL_ANGLE,
+    NearPiRotation,
+    Pose,
+    _skew,
+    _v_matrix_inverse,
+    exp_map,
+    log_map,
+    random_pose,
+)
 from textloop.loop_closure import LoopConstraint, LoopSource
 from textloop.pose_graph import (
     OptimizationReport,
     PoseGraph,
     PoseGraphEdge,
     SingularNormalEquations,
+    stack_poses,
 )
 
 
@@ -46,38 +57,48 @@ def test_residual_zero_on_consistent_edge():
     nodes = [random_pose(rng) for _ in range(3)]
     graph = PoseGraph(nodes)
     graph.add_edge(0, 2, nodes[0].inverse() @ nodes[2], np.eye(6))
-    assert np.linalg.norm(graph.residual(graph.edges[0])) < 1e-12
+    assert np.linalg.norm(graph.edge_jacobians()[0][0]) < 1e-12
 
 
 def test_residual_pure_translation():
     graph = PoseGraph([Pose.identity(), Pose(np.eye(3), np.array([1.0, 0.0, 0.0]))])
     graph.add_edge(0, 1, Pose.identity(), np.eye(6))
-    assert np.allclose(graph.residual(graph.edges[0]), [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.allclose(graph.edge_jacobians()[0], [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
 
 
 def test_jacobians_match_finite_differences():
+    # every edge row of the stacked Jacobians, against central differences of
+    # the stacked residuals, on graphs with several edges per node
     rng = np.random.default_rng(29)
     eps = 1e-6
-    for _ in range(20):
-        nodes = [random_pose(rng) for _ in range(3)]
+    for _ in range(5):
+        nodes = [random_pose(rng) for _ in range(4)]
         graph = PoseGraph(nodes)
-        graph.add_edge(1, 2, random_pose(rng, max_angle=1.0), np.eye(6))
-        edge = graph.edges[0]
-        r0, j_i, j_j = graph.edge_jacobians(edge)
-        for node_index, analytic in ((1, j_i), (2, j_j)):
-            numeric = np.zeros((6, 6))
-            for k in range(6):
+        for i, j in ((1, 2), (0, 3), (3, 1), (2, 0), (1, 2)):
+            graph.add_edge(i, j, random_pose(rng, max_angle=1.0), np.eye(6))
+        r0, j_i, j_j = graph.edge_jacobians()
+        assert r0.shape == (5, 6) and j_i.shape == j_j.shape == (5, 6, 6)
+        for node_index in range(len(nodes)):
+            analytic = np.zeros((len(graph.edges), 6, 6))
+            for k, edge in enumerate(graph.edges):
+                if edge.i == node_index:
+                    analytic[k] = j_i[k]
+                if edge.j == node_index:
+                    analytic[k] = j_j[k]
+            numeric = np.zeros((len(graph.edges), 6, 6))
+            for col in range(6):
                 step = np.zeros(6)
-                step[k] = eps
+                step[col] = eps
                 plus = list(nodes)
                 plus[node_index] = nodes[node_index] @ exp_map(step)
                 minus = list(nodes)
                 minus[node_index] = nodes[node_index] @ exp_map(-step)
-                numeric[:, k] = (
-                    graph.residual(edge, plus) - graph.residual(edge, minus)
-                ) / (2.0 * eps)
-            scale = max(1.0, float(np.abs(analytic).max()))
-            assert np.abs(analytic - numeric).max() / scale < 1e-5
+                r_plus = graph.edge_jacobians(stack_poses(plus))[0]
+                r_minus = graph.edge_jacobians(stack_poses(minus))[0]
+                numeric[:, :, col] = (r_plus - r_minus) / (2.0 * eps)
+            for row_analytic, row_numeric in zip(analytic, numeric):
+                scale = max(1.0, float(np.abs(row_analytic).max()))
+                assert np.abs(row_analytic - row_numeric).max() / scale < 1e-5
 
 
 def test_optimize_is_noop_without_loops():
@@ -202,3 +223,260 @@ def test_report_fields():
     assert isinstance(report, OptimizationReport)
     assert report.iterations == 0
     assert report.converged
+
+
+# The per-edge Levenberg-Marquardt that the stacked PoseGraph replaced, kept
+# as its oracle: one Python call per edge for residuals, Jacobians and cost.
+# The Jacobian helpers are frozen copies of the one-edge geometry functions,
+# so the oracle shares no stacked code with what it checks.
+
+
+def _oracle_adjoint(pose):
+    out = np.zeros((6, 6))
+    out[:3, :3] = pose.rotation
+    out[:3, 3:] = _skew(pose.translation) @ pose.rotation
+    out[3:, 3:] = pose.rotation
+    return out
+
+
+def _oracle_q_matrix(rho, theta):
+    angle = float(np.linalg.norm(theta))
+    cr = _skew(rho)
+    cp = _skew(theta)
+    if angle < _SMALL_ANGLE:
+        c1 = 1.0 / 6.0 - angle**2 / 120.0
+        c2 = 1.0 / 24.0 - angle**2 / 720.0
+        c3 = -1.0 / 120.0 + angle**2 / 5040.0
+    else:
+        c1 = (angle - np.sin(angle)) / angle**3
+        c2 = (1.0 - 0.5 * angle**2 - np.cos(angle)) / angle**4
+        c3 = (angle - np.sin(angle) - angle**3 / 6.0) / angle**5
+    cpcr = cp @ cr
+    crcp = cr @ cp
+    cpcrcp = cpcr @ cp
+    cpcp = cp @ cp
+    return (
+        0.5 * cr
+        + c1 * (cpcr + crcp + cpcrcp)
+        - c2 * (cpcp @ cr + cr @ cpcp - 3.0 * cpcrcp)
+        - 0.5 * (c2 - 3.0 * c3) * (cpcrcp @ cp + cpcp @ crcp)
+    )
+
+
+def _oracle_right_jacobian_inverse(xi):
+    xi = -np.asarray(xi, dtype=float).reshape(6)
+    rho, theta = xi[:3], xi[3:]
+    v_inv = _v_matrix_inverse(theta)
+    q = _oracle_q_matrix(rho, theta)
+    out = np.zeros((6, 6))
+    out[:3, :3] = v_inv
+    out[3:, 3:] = v_inv
+    out[:3, 3:] = -v_inv @ q @ v_inv
+    return out
+
+
+def _robust_cost(s, delta):
+    if delta is None or s <= delta * delta:
+        return s
+    return 2.0 * delta * np.sqrt(s) - delta * delta
+
+
+def _robust_weight(s, delta):
+    if delta is None or s <= delta * delta:
+        return 1.0
+    return delta / np.sqrt(s)
+
+
+class _PerEdgeGraph:
+    def __init__(self, graph):
+        self.nodes = list(graph.nodes)
+        self.edges = list(graph.edges)
+
+    def residual(self, edge, nodes=None):
+        nodes = self.nodes if nodes is None else nodes
+        x = nodes[edge.i].inverse() @ nodes[edge.j]
+        return log_map(edge.measured.inverse() @ x)
+
+    def edge_jacobians(self, edge):
+        x = self.nodes[edge.i].inverse() @ self.nodes[edge.j]
+        r = log_map(edge.measured.inverse() @ x)
+        jr_inv = _oracle_right_jacobian_inverse(r)
+        return r, -jr_inv @ _oracle_adjoint(x.inverse()), jr_inv
+
+    def cost(self, nodes=None, huber_delta=None):
+        total = 0.0
+        for edge in self.edges:
+            r = self.residual(edge, nodes)
+            total += _robust_cost(float(r @ edge.information @ r), huber_delta)
+        return total
+
+    def linearize(self, huber_delta):
+        dim = 6 * (len(self.nodes) - 1)
+        rows, cols, vals = [], [], []
+        b = np.zeros(dim)
+        span = np.arange(6)
+        for edge in self.edges:
+            r, j_i, j_j = self.edge_jacobians(edge)
+            weight = _robust_weight(float(r @ edge.information @ r), huber_delta)
+            info = edge.information * weight
+            blocks = []
+            if edge.i > 0:
+                blocks.append((edge.i - 1, j_i))
+            if edge.j > 0:
+                blocks.append((edge.j - 1, j_j))
+            for var_a, jac_a in blocks:
+                b[6 * var_a : 6 * var_a + 6] += jac_a.T @ info @ r
+                for var_b, jac_b in blocks:
+                    rows.append(np.repeat(6 * var_a + span, 6))
+                    cols.append(np.tile(6 * var_b + span, 6))
+                    vals.append((jac_a.T @ info @ jac_b).ravel())
+        h = coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(dim, dim),
+        ).tocsr()
+        return h, b
+
+    def retract(self, delta):
+        nodes = [self.nodes[0]]
+        for k in range(1, len(self.nodes)):
+            nodes.append(self.nodes[k] @ exp_map(delta[6 * (k - 1) : 6 * k]))
+        return nodes
+
+    def optimize(self, max_iterations=100, lambda_init=1e-6, huber_delta=None, tolerance=1e-12):
+        cost = self.cost(huber_delta=huber_delta)
+        initial = cost
+        lam = lambda_init
+        converged = False
+        iteration = 0
+        while iteration < max_iterations:
+            if cost < 1e-20:
+                converged = True
+                break
+            h, b = self.linearize(huber_delta)
+            improved = False
+            while lam <= 1e12:
+                delta = PoseGraph._solve(h, b, lam)
+                trial = self.retract(delta)
+                trial_cost = self.cost(nodes=trial, huber_delta=huber_delta)
+                if trial_cost < cost:
+                    decrease = cost - trial_cost
+                    self.nodes = trial
+                    cost = trial_cost
+                    lam = max(lam * 0.3, 1e-12)
+                    improved = True
+                    step = float(np.max(np.abs(delta)))
+                    if step < tolerance or decrease <= tolerance * (1.0 + cost):
+                        converged = True
+                    break
+                lam *= 10.0
+            iteration += 1
+            if not improved:
+                converged = True
+                break
+            if converged:
+                break
+        return OptimizationReport(initial, cost, iteration, converged)
+
+
+def _random_information(rng, scale):
+    a = rng.normal(size=(6, 6))
+    return scale * (a @ a.T + 6.0 * np.eye(6))
+
+
+def _twist(rng, rho_scale, angle):
+    axis = rng.normal(size=3)
+    return np.concatenate([rng.normal(scale=rho_scale, size=3), angle * axis / np.linalg.norm(axis)])
+
+
+def _oracle_graph(rng, n_nodes):
+    """A drifted chain plus loop edges that reach every branch of the residual maths.
+
+    Loop edges touch node 0 as i and as j, repeat one pair, and carry residuals
+    with rotation angles below _SMALL_ANGLE, in the 1e-3 band below pi, and in
+    between; their information spreads r^T info r on both sides of 0.5^2.
+    """
+    nodes = [random_pose(rng)]
+    for _ in range(n_nodes - 1):
+        nodes.append(nodes[-1] @ exp_map(_twist(rng, 0.5, rng.uniform(0.0, 0.3))))
+    graph = PoseGraph([n @ exp_map(_twist(rng, 0.01, 0.005)) if k else n for k, n in enumerate(nodes)])
+    for k in range(n_nodes - 1):
+        graph.add_edge(k, k + 1, nodes[k].inverse() @ nodes[k + 1], _random_information(rng, 1.0))
+    pairs = [(0, n_nodes - 1), (n_nodes - 2, 0), (2, 4), (2, 4), (3, 1), (n_nodes - 1, 1)]
+    angles = [1e-6, 0.0, 0.3, np.pi - 5e-4, 1e-5, 2.0]
+    scales = [1.0, 1e-2, 100.0, 1.0, 1e-4, 1e-2]
+    for (i, j), angle, scale in zip(pairs, angles, scales):
+        # measured against the drifted nodes, so the residual angle is `angle`
+        truth = graph.nodes[i].inverse() @ graph.nodes[j]
+        graph.add_edge(
+            i, j, truth @ exp_map(_twist(rng, 0.05, angle)), _random_information(rng, scale)
+        )
+    return graph
+
+
+def _linearized(graph, huber_delta):
+    return graph._linearize(stack_poses(graph.nodes), huber_delta)
+
+
+@pytest.mark.parametrize("huber_delta", [None, 0.5])
+def test_stacked_graph_matches_per_edge_oracle(huber_delta):
+    rng = np.random.default_rng(61)
+    for n_nodes in (6, 9, 12):
+        graph = _oracle_graph(rng, n_nodes)
+        oracle = _PerEdgeGraph(graph)
+        r, j_i, j_j = graph.edge_jacobians()
+        angles = np.linalg.norm(r[:, 3:], axis=1)
+        assert (angles < _SMALL_ANGLE).any() and (np.pi - angles < 1e-3).any()
+        if huber_delta is not None:
+            s = np.einsum("ka,kab,kb->k", r, np.array([e.information for e in graph.edges]), r)
+            assert (s <= huber_delta**2).any() and (s > huber_delta**2).any()
+        for k, edge in enumerate(graph.edges):
+            expected = oracle.edge_jacobians(edge)
+            assert np.array_equal(r[k], expected[0])
+            assert np.array_equal(j_i[k], expected[1])
+            assert np.array_equal(j_j[k], expected[2])
+        assert graph.cost(huber_delta=huber_delta) == oracle.cost(huber_delta=huber_delta)
+        h, b = _linearized(graph, huber_delta)
+        h_oracle, b_oracle = oracle.linearize(huber_delta)
+        assert np.array_equal(b, b_oracle)
+        assert np.array_equal(h.toarray(), h_oracle.toarray())
+        assert np.array_equal(h.indices, h_oracle.indices)
+        report = graph.optimize(huber_delta=huber_delta)
+        assert report == oracle.optimize(huber_delta=huber_delta)
+        assert report.iterations > 0
+        assert graph.nodes[0] is oracle.nodes[0]
+        for got, want in zip(graph.nodes, oracle.nodes):
+            assert np.array_equal(got.rotation, want.rotation)
+            assert np.array_equal(got.translation, want.translation)
+
+
+def test_single_edge_graph_matches_per_edge_oracle():
+    rng = np.random.default_rng(67)
+    nodes = [random_pose(rng), random_pose(rng)]
+    graph = PoseGraph(nodes)
+    graph.add_edge(1, 0, random_pose(rng, max_angle=1.0), _random_information(rng, 1.0))
+    oracle = _PerEdgeGraph(graph)
+    h, b = _linearized(graph, None)
+    h_oracle, b_oracle = oracle.linearize(None)
+    assert np.array_equal(b, b_oracle) and np.array_equal(h.toarray(), h_oracle.toarray())
+    assert graph.optimize() == oracle.optimize()
+    assert np.array_equal(graph.nodes[1].rotation, oracle.nodes[1].rotation)
+    assert np.array_equal(graph.nodes[1].translation, oracle.nodes[1].translation)
+
+
+def test_near_pi_residual_raises_like_per_edge_oracle():
+    rng = np.random.default_rng(71)
+    nodes = [random_pose(rng) for _ in range(4)]
+    graph = PoseGraph(nodes)
+    axis = np.array([0.0, 0.0, 1.0])
+    # residual angles pi - 5e-4 (in the fallback band, fine), then two edges
+    # past NEAR_PI_EPSILON: the first of them in edge order names its angle
+    for (i, j), gap in (((0, 1), 5e-4), ((1, 2), 1e-10), ((2, 3), 0.0)):
+        flip = exp_map(np.concatenate([np.zeros(3), (np.pi - gap) * axis]))
+        graph.add_edge(i, j, (nodes[i].inverse() @ nodes[j]) @ flip, np.eye(6))
+    oracle = _PerEdgeGraph(graph)
+    with pytest.raises(NearPiRotation) as expected:
+        oracle.cost()
+    for call in (graph.cost, graph.edge_jacobians, graph.optimize):
+        with pytest.raises(NearPiRotation) as got:
+            call()
+        assert str(got.value) == str(expected.value)
