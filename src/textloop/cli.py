@@ -25,6 +25,7 @@ from .logio import (
     LogFormatError,
     odom_record,
     parse_calib,
+    parse_cloud,
     parse_detections,
     parse_pose,
     read_log,
@@ -244,9 +245,7 @@ def cmd_detect(args) -> int:
             except ValueError as exc:
                 raise LogFormatError(f"line {record.line}: {exc}") from exc
         elif record.kind == "cloud":
-            points = _field(
-                payload, "points", lambda p: np.asarray(p, dtype=float).reshape(-1, 3), record.line
-            )
+            points = parse_cloud(payload, record.line)
             run.on_cloud(_field(payload, "frame", int, record.line), points)
         elif record.kind == "texts":
             run.on_texts(

@@ -5,18 +5,20 @@ One record per line.  A sensor log starts with a single ``calib`` record
 then carries ``odom`` {t, frame, pose}, ``cloud`` {frame, points} and
 ``texts`` {t, detections} records; ground-truth files hold ``gt`` {frame,
 pose} records.  Poses serialize as translation + unit quaternion, floats
-at full round-trip precision (the default for json on this side).
+at full round-trip precision (the default for json on this side).  A cloud's
+``points`` is one ASCII string, the base64 of its little-endian float64 xyz
+rows in row-major order, so the reader gets back the same bits.
 
 ``simulate`` writes records as it generates them, so no more than one cloud
-is held as Python lists at a time.  Trajectory readers (``optimize``,
-``evaluate``) use only ``odom``/``gt`` records and skip cloud lines in the
-canonical form that ``write_log`` emits without decoding them; a corrupt
-cloud payload inside such a line is reported by ``detect``, which parses
-every record.
+record is held at a time.  Trajectory readers (``optimize``, ``evaluate``)
+use only ``odom``/``gt`` records and skip cloud lines in the canonical form
+that ``write_log`` emits without decoding them; a corrupt cloud payload
+inside such a line is reported by ``detect``, which parses every record.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -52,8 +54,9 @@ def odom_record(t: float, frame: int, pose: Pose) -> dict:
 
 
 def cloud_record(frame: int, points: np.ndarray) -> dict:
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    return {"type": "cloud", "frame": int(frame), "points": pts.tolist()}
+    pts = np.ascontiguousarray(points, dtype="<f8").reshape(-1, 3)
+    payload = base64.b64encode(pts.tobytes()).decode("ascii")
+    return {"type": "cloud", "frame": int(frame), "points": payload}
 
 
 def texts_record(t: float, detections) -> dict:
@@ -88,7 +91,7 @@ _REQUIRED_FIELDS = {
 
 # how write_log starts and ends a cloud_record line
 _CLOUD_PREFIX = '{"type":"cloud",'
-_CLOUD_ENDINGS = ("]}\n", "]}")
+_CLOUD_ENDINGS = ('"}\n', '"}')
 
 
 def read_log(path, *, skip_clouds: bool = False):
@@ -134,6 +137,17 @@ def parse_calib(payload: dict, line: int) -> CalibratedRig:
         intrinsics=CameraIntrinsics(*[float(v) for v in values]),
         camera_in_lidar=parse_pose(payload["extrinsic"], line),
     )
+
+
+def parse_cloud(payload: dict, line: int) -> np.ndarray:
+    """The (n, 3) float64 points of a cloud record's base64 payload."""
+    try:
+        raw = base64.b64decode(payload["points"], validate=True)
+        if len(raw) % 24:
+            raise ValueError(f"{len(raw)} bytes is not a whole number of float64 xyz rows")
+        return np.frombuffer(raw, dtype="<f8").reshape(-1, 3)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise LogFormatError(f"line {line}: bad points value ({exc})") from exc
 
 
 def parse_detections(payload: dict, line: int) -> list[TextDetection]:

@@ -10,6 +10,7 @@ function of (world, route, noise, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,18 +80,23 @@ class Wall:
         if self.z_max <= self.z_min:
             raise ValueError("wall z_max must exceed z_min")
 
-    @property
+    # cached: the simulator reads these tens of thousands of times per run
+    @cached_property
     def length(self) -> float:
         return float(np.linalg.norm(self.end - self.start))
 
-    @property
+    @cached_property
     def direction(self) -> np.ndarray:
-        return (self.end - self.start) / self.length
+        direction = (self.end - self.start) / self.length
+        direction.flags.writeable = False
+        return direction
 
-    @property
+    @cached_property
     def normal(self) -> np.ndarray:
         d = self.direction
-        return np.array([-d[1], d[0]])
+        normal = np.array([-d[1], d[0]])
+        normal.flags.writeable = False
+        return normal
 
     def normal3(self) -> np.ndarray:
         n = self.normal

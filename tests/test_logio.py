@@ -1,3 +1,6 @@
+import base64
+import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +16,7 @@ from textloop.logio import (
     gt_record,
     odom_record,
     parse_calib,
+    parse_cloud,
     parse_detections,
     parse_pose,
     read_log,
@@ -259,3 +263,96 @@ def test_malformed_odom_line_reported_by_trajectory_reader(corridor_log, tmp_pat
     broken.write_text("\n".join(lines) + "\n")
     with pytest.raises(LogFormatError, match=f"line {number}:"):
         read_trajectory(broken)
+
+
+def _nan_with_payload() -> float:
+    return struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0001))[0]
+
+
+_CLOUD_RNG = np.random.default_rng(13)
+_CLOUDS = {
+    "special": np.array(
+        [[0.0, -0.0, np.nan], [np.inf, -np.inf, _nan_with_payload()],
+         [5e-324, -2.2e-308, 1e308], [-1e308, 1.0, -1.0]]
+    ),
+    "empty": np.empty((0, 3)),
+    "one_point": np.array([[1.5, -2.25, 3.125]]),
+    "float32": _CLOUD_RNG.normal(size=(7, 3)).astype(np.float32),
+    "fortran": np.asfortranarray(_CLOUD_RNG.normal(size=(6, 3))),
+    "strided": _CLOUD_RNG.normal(size=(10, 6))[::2, ::2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOUDS))
+def test_cloud_payload_round_trips_bit_exact(name, tmp_path):
+    points = _CLOUDS[name]
+    record = cloud_record(4, points)
+    assert list(record) == ["type", "frame", "points"]
+    assert isinstance(record["points"], str)
+    path = tmp_path / "log.jsonl"
+    write_log(path, [record])
+    assert path.read_text().endswith('"}\n')
+    (parsed,) = read_log(path)
+    got = parse_cloud(parsed.payload, parsed.line)
+    expected = np.asarray(points, dtype=float).reshape(-1, 3)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+# points value -> what the error message says after "bad points value"
+_BAD_POINTS = {
+    "non_alphabet": ("A" * 16 + "!" + "A" * 15, "base64"),
+    "bad_padding": ("AAA", "padding"),
+    "not_24_byte_rows": (base64.b64encode(bytes(16)).decode("ascii"), "16 bytes is not a whole"),
+    "list_payload": ([[1.0, 2.0, 3.0]], "not 'list'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_POINTS))
+def test_bad_cloud_payload_reported_with_line(name, tmp_path, capsys):
+    points, detail = _BAD_POINTS[name]
+    with pytest.raises(LogFormatError, match=f"line 3: bad points value \\(.*{detail}"):
+        parse_cloud({"type": "cloud", "frame": 0, "points": points}, 3)
+    path = tmp_path / "log.jsonl"
+    write_log(
+        path,
+        [
+            calib_record(default_rig()),
+            odom_record(0.0, 0, Pose.identity()),
+            {"type": "cloud", "frame": 0, "points": points},
+        ],
+    )
+    rc = main(["detect", "--log", str(path), "--out", str(tmp_path / "loops.jsonl")])
+    assert rc == 2
+    assert "line 3: bad points value" in capsys.readouterr().err
+
+
+def test_trajectory_reader_skips_canonical_cloud_lines_undecoded(tmp_path):
+    path = tmp_path / "log.jsonl"
+    write_log(path, [odom_record(0.0, 0, Pose.identity())])
+    with open(path, "a") as handle:
+        handle.write('{"type":"cloud","frame":0,"points":"AA"AA"}\n')
+    stamps, _ = read_trajectory(path)
+    assert stamps == [0.0]
+    with pytest.raises(LogFormatError, match="line 2: invalid JSON"):
+        list(read_log(path))
+
+
+def test_reordered_base64_cloud_record_without_points_raises(tmp_path):
+    rng = np.random.default_rng(9)
+    path = tmp_path / "log.jsonl"
+    write_log(path, [odom_record(0.0, 0, _random_pose(rng))])
+    payload = cloud_record(0, rng.normal(size=(3, 3)))["points"]
+    with open(path, "a") as handle:
+        handle.write(json.dumps({"frame": 0, "type": "cloud", "xyz": payload}) + "\n")
+    with pytest.raises(LogFormatError, match="line 2: cloud record missing 'points'"):
+        read_trajectory(path)
+
+
+def test_log_feeds_detect_the_bits_of_a_json_round_trip(corridor_lap, corridor_log):
+    clouds = [parse_cloud(r.payload, r.line) for r in read_log(corridor_log) if r.kind == "cloud"]
+    assert len(clouds) == len(corridor_lap.stamps)
+    for got, points in zip(clouds, corridor_lap.clouds):
+        # what a list payload gave detect: json's float repr round-trips float64
+        as_json_list = np.asarray(json.loads(json.dumps(np.asarray(points).tolist())), dtype=float)
+        assert got.tobytes() == as_json_list.reshape(-1, 3).tobytes()

@@ -9,6 +9,7 @@ from textloop.geometry import interpolate
 from textloop.simulator import (
     CONFUSABLE,
     NoiseModel,
+    Wall,
     WaypointOutsideWorld,
     World,
     _misread,
@@ -246,3 +247,17 @@ def test_default_routes_within_worlds():
         for waypoint in route:
             assert lo[0] <= waypoint[0] <= hi[0] and lo[1] <= waypoint[1] <= hi[1]
             assert z_lo <= waypoint[2] <= z_hi
+
+
+def test_wall_geometry_cached_read_only_and_bit_exact():
+    wall = Wall(start=[1.0, 2.0], end=[4.5, -3.25], z_min=0.0, z_max=3.0)
+    delta = np.array([4.5, -3.25]) - np.array([1.0, 2.0])
+    length = float(np.linalg.norm(delta))
+    direction = delta / length
+    assert wall.length == length
+    assert wall.direction.tobytes() == direction.tobytes()
+    assert wall.normal.tobytes() == np.array([-direction[1], direction[0]]).tobytes()
+    assert wall.direction is wall.direction and wall.normal is wall.normal
+    for cached in (wall.direction, wall.normal):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
