@@ -14,7 +14,7 @@ import numpy as np
 
 from .database import ObservationDatabase
 from .entities import TextEntity
-from .geometry import Pose, cumulative_path_length
+from .geometry import cumulative_path_length
 
 DEFAULT_EPSILON = 0.5
 DEFAULT_WINDOW_RADIUS = 10.0
@@ -74,13 +74,6 @@ class ConsistencyGraph:
     def __len__(self) -> int:
         return len(self.associations)
 
-    def to_json(self) -> dict:
-        return {
-            "associations": [[a.index_c, a.index_p, a.content] for a in self.associations],
-            "affinity": self.affinity.tolist(),
-            "exclusion": self.exclusion.astype(int).tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class AssociationParams:
@@ -100,7 +93,6 @@ class VerifiedMatch:
     map_c: Ltem
     map_p: Ltem
     consistent: tuple[Association, ...]
-    density: float
 
 
 def build_ltem(
@@ -192,21 +184,6 @@ def putative_associations(map_c: Ltem, map_p: Ltem) -> list[Association]:
     return out
 
 
-def consistency_score(
-    a_i: Association,
-    a_j: Association,
-    positions_c: np.ndarray,
-    positions_p: np.ndarray,
-    epsilon: float = DEFAULT_EPSILON,
-) -> float:
-    """Hat kernel on the intra-map distance discrepancy of two associations."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    d_c = np.linalg.norm(positions_c[a_i.index_c] - positions_c[a_j.index_c])
-    d_p = np.linalg.norm(positions_p[a_i.index_p] - positions_p[a_j.index_p])
-    return float(max(0.0, 1.0 - abs(d_c - d_p) / epsilon))
-
-
 def build_consistency_graph(
     associations: list[Association],
     map_c: Ltem,
@@ -232,15 +209,6 @@ def build_consistency_graph(
     else:
         affinity = np.empty((0, 0))
     return ConsistencyGraph(associations=list(associations), affinity=affinity, exclusion=exclusion)
-
-
-def set_density(graph: ConsistencyGraph, subset) -> float:
-    """u^T A u for the normalized indicator of the subset; 0 for the empty set."""
-    subset = list(subset)
-    if not subset:
-        return 0.0
-    sub = graph.affinity[np.ix_(subset, subset)]
-    return float(sub.sum() / len(subset))
 
 
 def _better(density_a: float, set_a: list[int], density_b: float, set_b: list[int]) -> bool:
@@ -392,7 +360,6 @@ def verify_candidate(
                 map_c=map_c,
                 map_p=map_p,
                 consistent=tuple(chosen),
-                density=set_density(graph, consistent),
             )
     return None
 

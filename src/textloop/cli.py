@@ -27,6 +27,7 @@ from .logio import (
     parse_calib,
     parse_cloud,
     parse_detections,
+    parse_field,
     parse_pose,
     read_log,
     read_trajectory,
@@ -190,13 +191,6 @@ def _write_loops(path, constraints) -> None:
     write_log(path, (c.to_json() for c in constraints))
 
 
-def _field(payload, key, conv, line):
-    try:
-        return conv(payload[key])
-    except (TypeError, ValueError) as exc:
-        raise LogFormatError(f"line {line}: bad {key} value ({exc})") from exc
-
-
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     sim = config["sim"]
@@ -237,8 +231,8 @@ def cmd_detect(args) -> int:
         elif run is None:
             raise LogFormatError(f"line {record.line}: first record must be calib")
         elif record.kind == "odom":
-            t = _field(payload, "t", float, record.line)
-            frame = _field(payload, "frame", int, record.line)
+            t = parse_field(payload, "t", float, record.line)
+            frame = parse_field(payload, "frame", int, record.line)
             pose = parse_pose(payload["pose"], record.line)
             try:
                 run.on_odom(t, frame, pose)
@@ -246,10 +240,11 @@ def cmd_detect(args) -> int:
                 raise LogFormatError(f"line {record.line}: {exc}") from exc
         elif record.kind == "cloud":
             points = parse_cloud(payload, record.line)
-            run.on_cloud(_field(payload, "frame", int, record.line), points)
+            run.on_cloud(parse_field(payload, "frame", int, record.line), points)
         elif record.kind == "texts":
             run.on_texts(
-                _field(payload, "t", float, record.line), parse_detections(payload, record.line)
+                parse_field(payload, "t", float, record.line),
+                parse_detections(payload, record.line),
             )
         elif record.kind == "gt":
             raise LogFormatError(f"line {record.line}: gt records do not belong in a sensor log")

@@ -25,6 +25,8 @@ from .simulator import NoiseModel
 ENV_PREFIX = "TEXTLOOP_"
 
 DEFAULTS: dict[str, dict] = {
+    # forward camera: optical z along the vehicle x, y down; the wide field of
+    # view (about 85 degrees horizontal) keeps wall signs in frame near broadside
     "rig": {
         "fx": 350.0,
         "fy": 350.0,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +36,6 @@ class ObservationDatabase:
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def contents(self) -> list[str]:
-        return list(self._by_content.keys())
-
-    @property
-    def frames(self) -> list[int]:
-        return list(self._by_frame.keys())
-
     def insert(self, frame: int, entity: TextEntity) -> bool:
         """Add an observation; returns False for an exact duplicate."""
         obs = Observation(
@@ -73,41 +64,3 @@ class ObservationDatabase:
     def entities_in_frame(self, frame: int) -> list[Observation]:
         """All observations anchored to a frame; [] when the frame saw no text."""
         return list(self._by_frame.get(frame, ()))
-
-    def dump_jsonl(self, path) -> None:
-        with open(path, "w") as stream:
-            for frame in self._by_frame:
-                for obs in self._by_frame[frame]:
-                    stream.write(
-                        json.dumps(
-                            {
-                                "frame": obs.frame,
-                                "content": obs.content,
-                                "category": obs.category.value,
-                                "pose": obs.pose.to_json(),
-                                "conf": obs.confidence,
-                            }
-                        )
-                        + "\n"
-                    )
-
-    @classmethod
-    def load_jsonl(cls, path) -> "ObservationDatabase":
-        db = cls()
-        with open(path) as stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                db.insert(
-                    obj["frame"],
-                    TextEntity(
-                        content=obj["content"],
-                        category=TextCategory(obj["category"]),
-                        pose_in_anchor=Pose.from_json(obj["pose"]),
-                        anchor_frame=obj["frame"],
-                        confidence=obj["conf"],
-                    ),
-                )
-        return db

@@ -30,13 +30,6 @@ class LoopGroundTruth:
     tau: float
     min_travel: float
 
-    def is_loop_pose(self, k: int) -> bool:
-        return bool(self.partners[k])
-
-    @property
-    def loop_pose_indices(self) -> list[int]:
-        return [k for k, n_k in enumerate(self.partners) if n_k]
-
     def __len__(self) -> int:
         return len(self.partners)
 

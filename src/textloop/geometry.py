@@ -239,17 +239,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> "Pose":
-        mat = np.asarray(mat, dtype=float)
-        return cls(mat[:3, :3], mat[:3, 3])
-
-    def matrix(self) -> np.ndarray:
-        out = np.eye(4)
-        out[:3, :3] = self.rotation
-        out[:3, 3] = self.translation
-        return out
-
     def compose(self, other: "Pose") -> "Pose":
         return Pose(
             self.rotation @ other.rotation,
@@ -300,11 +289,6 @@ class CameraIntrinsics:
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise GeometryError(f"focal lengths must be positive, got {self.fx}, {self.fy}")
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass(frozen=True)
 class PlaneParams:
@@ -323,10 +307,6 @@ class PlaneParams:
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", float(self.offset) / scale)
 
-    def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        return points @ self.normal + self.offset
-
 
 @dataclass(frozen=True)
 class PixelPoint:
@@ -335,10 +315,6 @@ class PixelPoint:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.u, self.v])
-
-
-def transform_point(pose: Pose, points: np.ndarray) -> np.ndarray:
-    return pose.apply(points)
 
 
 def project(
@@ -538,11 +514,3 @@ def cumulative_path_length(positions) -> np.ndarray:
         return np.zeros(0)
     steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
     return np.concatenate([[0.0], np.cumsum(steps)])
-
-
-def random_pose(rng: np.random.Generator, max_angle: float = 3.0, max_radius: float = 10.0) -> Pose:
-    """Uniformly seeded pose for tests and synthetic worlds."""
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    angle = rng.uniform(0.0, max_angle)
-    return Pose(_so3_exp(angle * axis), rng.uniform(-max_radius, max_radius, size=3))

@@ -122,6 +122,14 @@ def read_log(path, *, skip_clouds: bool = False):
             yield LogRecord(kind, number, payload)
 
 
+def parse_field(payload: dict, key: str, conv, line: int):
+    """conv(payload[key]); a value conv rejects is a LogFormatError naming the line."""
+    try:
+        return conv(payload[key])
+    except (TypeError, ValueError) as exc:
+        raise LogFormatError(f"line {line}: bad {key} value ({exc})") from exc
+
+
 def parse_pose(obj: dict, line: int) -> Pose:
     try:
         return Pose.from_json(obj)
@@ -133,9 +141,12 @@ def parse_calib(payload: dict, line: int) -> CalibratedRig:
     values = payload["intrinsics"]
     if not isinstance(values, list) or len(values) != 4:
         raise LogFormatError(f"line {line}: intrinsics must be [fx, fy, cx, cy]")
+    try:
+        intrinsics = CameraIntrinsics(*[float(v) for v in values])
+    except (TypeError, ValueError) as exc:  # GeometryError is a ValueError
+        raise LogFormatError(f"line {line}: bad intrinsics ({exc})") from exc
     return CalibratedRig(
-        intrinsics=CameraIntrinsics(*[float(v) for v in values]),
-        camera_in_lidar=parse_pose(payload["extrinsic"], line),
+        intrinsics=intrinsics, camera_in_lidar=parse_pose(payload["extrinsic"], line)
     )
 
 
@@ -201,16 +212,16 @@ def read_trajectory(path) -> tuple[list[float | None], list[Pose]]:
     """Stamps (None for gt files) and poses from odom/gt records, frame order."""
     rows: list[tuple[int, float | None, Pose]] = []
     for record in read_log(path, skip_clouds=True):
+        payload, line = record.payload, record.line
         if record.kind == "odom":
-            rows.append(
-                (
-                    int(record.payload["frame"]),
-                    float(record.payload["t"]),
-                    parse_pose(record.payload["pose"], record.line),
-                )
-            )
+            t = parse_field(payload, "t", float, line)
         elif record.kind == "gt":
-            rows.append((int(record.payload["frame"]), None, parse_pose(record.payload["pose"], record.line)))
+            t = None
+        else:
+            continue
+        rows.append(
+            (parse_field(payload, "frame", int, line), t, parse_pose(payload["pose"], line))
+        )
     rows.sort(key=lambda row: row[0])
     frames = [row[0] for row in rows]
     if frames != list(range(len(frames))):

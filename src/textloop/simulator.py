@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .entities import CalibratedRig, TextCategory, TextDetection
-from .geometry import CameraIntrinsics, Pose, exp_map, interpolate, project
+from .geometry import Pose, exp_map, interpolate, project
 
 SPEED = 2.0
 SENSOR_HEIGHT = 1.2
@@ -175,16 +175,6 @@ class World:
 
     def placement_center(self, p: Placement) -> np.ndarray:
         return self.walls[p.wall_index].point(p.offset, p.height)
-
-    def placement_entity_pose(self, p: Placement) -> Pose:
-        """Reference text pose: left-edge midpoint, x along the wall, z facing out."""
-        wall = self.walls[p.wall_index]
-        origin = wall.point(p.offset - p.width / 2, p.height)
-        d = wall.direction
-        x_axis = np.array([d[0], d[1], 0.0])
-        normal = wall.normal3()
-        rotation = np.column_stack([x_axis, np.cross(normal, x_axis), normal])
-        return Pose(rotation, origin)
 
     def bounds(self, margin: float = 6.0):
         xy = np.concatenate([[w.start, w.end] for w in self.walls])
@@ -453,19 +443,6 @@ def route_poses(route: np.ndarray, speed: float = SPEED, rate: float = 10.0):
         rotation = np.array([[c, -si, 0.0], [si, c, 0.0], [0.0, 0.0, 1.0]])
         poses.append(Pose(rotation, position))
     return stamps, poses
-
-
-def default_rig() -> CalibratedRig:
-    """Forward camera: optical z along the vehicle x, y down.
-
-    The wide field of view (about 85 degrees horizontal) keeps wall signs in
-    frame close to broadside, where range and incidence are favorable.
-    """
-    rotation = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
-    return CalibratedRig(
-        intrinsics=CameraIntrinsics(fx=350.0, fy=350.0, cx=320.0, cy=240.0),
-        camera_in_lidar=Pose(rotation, np.array([0.08, 0.0, -0.06])),
-    )
 
 
 @dataclass

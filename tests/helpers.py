@@ -21,7 +21,10 @@ from textloop.association import (
 )
 from textloop.cli import main, optimize_trajectory, run_detector
 from textloop.config import load_config
-from textloop.simulator import NoiseModel, build_world, default_rig, default_route, simulate
+from textloop.entities import CalibratedRig
+from textloop.evaluation import LoopGroundTruth
+from textloop.geometry import Pose, _so3_exp
+from textloop.simulator import NoiseModel, Placement, World, build_world, default_route, simulate
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 PIPELINE_ARTIFACTS = ("log.jsonl", "gt.jsonl", "loops.jsonl", "traj.jsonl", "report.json")
@@ -31,6 +34,44 @@ ACCEPT_NOISE = NoiseModel(
     misread_prob=0.05,
     detect_prob=0.8,
 )
+
+
+def default_rig() -> CalibratedRig:
+    """The rig of the default config, as the CLI builds it."""
+    return load_config(None, environ={}).rig()
+
+
+def random_pose(rng: np.random.Generator, max_angle: float = 3.0, max_radius: float = 10.0) -> Pose:
+    """Pose with a uniformly random axis, angle up to max_angle and translation box."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angle = rng.uniform(0.0, max_angle)
+    return Pose(_so3_exp(angle * axis), rng.uniform(-max_radius, max_radius, size=3))
+
+
+def placement_entity_pose(world: World, p: Placement) -> Pose:
+    """Reference text pose of a sign: left-edge midpoint, x along the wall, z facing out."""
+    wall = world.walls[p.wall_index]
+    origin = wall.point(p.offset - p.width / 2, p.height)
+    d = wall.direction
+    x_axis = np.array([d[0], d[1], 0.0])
+    normal = wall.normal3()
+    rotation = np.column_stack([x_axis, np.cross(normal, x_axis), normal])
+    return Pose(rotation, origin)
+
+
+def loop_pose_indices(gtl: LoopGroundTruth) -> list[int]:
+    """Poses with at least one ground-truth revisit partner."""
+    return [k for k, n_k in enumerate(gtl.partners) if n_k]
+
+
+def set_density(graph: ConsistencyGraph, subset) -> float:
+    """u^T A u for the normalized indicator of the subset; 0 for the empty set."""
+    subset = list(subset)
+    if not subset:
+        return 0.0
+    sub = graph.affinity[np.ix_(subset, subset)]
+    return float(sub.sum() / len(subset))
 
 
 def brute_force_densest_subset(graph: ConsistencyGraph) -> list[int]:
@@ -94,8 +135,6 @@ def random_consistency_instance(
 
 
 def straight_line_poses(n: int, spacing: float = 1.0):
-    from textloop.geometry import Pose
-
     return [Pose(np.eye(3), [i * spacing, 0.0, 0.0]) for i in range(n)]
 
 

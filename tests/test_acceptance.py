@@ -14,11 +14,15 @@ from helpers import (
     assert_golden,
     brute_force_densest_subset,
     cli_pipeline,
+    default_rig,
+    loop_pose_indices,
     random_consistency_instance,
+    random_pose,
     run_digests,
+    set_density,
     simulate_detect_optimize_multifloor,
 )
-from textloop.association import set_density, solve_consistent_set
+from textloop.association import solve_consistent_set
 from textloop.cli import run_detector
 from textloop.config import PipelineConfig, load_config
 from textloop.entities import TextCategory, TextEntity
@@ -34,14 +38,12 @@ from textloop.geometry import (
     interpolate,
     log_map,
     project,
-    random_pose,
 )
 from textloop.loop_closure import DetectorState, process_frame
 from textloop.simulator import (
     FLOOR_SPACING,
     NoiseModel,
     build_world,
-    default_rig,
     default_route,
     simulate,
 )
@@ -66,7 +68,7 @@ def test_geometry_round_trips_within_tolerance_and_time_budget():
         plane = PlaneParams(normal, -float(normal @ anchor))
         pixel = PixelPoint(float(rng.uniform(50, 590)), float(rng.uniform(50, 430)))
         point = backproject(intrinsics, plane, pixel)
-        assert abs(plane.signed_distance(point)) < 1e-9
+        assert abs(point @ plane.normal + plane.offset) < 1e-9
         again = project(intrinsics, point)
         assert abs(again.u - pixel.u) < 1e-7 and abs(again.v - pixel.v) < 1e-7
 
@@ -231,10 +233,10 @@ def test_evaluation_matches_brute_force_and_rigid_invariance():
         positions = np.cumsum(steps, axis=0)
         gtl = label_loop_poses(positions, tau=2.0, min_travel=8.0)
         assert gtl.partners == _brute_force_labels(positions, 2.0, 8.0)
-        predictions = [(k, gtl.partners[k][0]) for k in gtl.loop_pose_indices]
+        predictions = [(k, gtl.partners[k][0]) for k in loop_pose_indices(gtl)]
         report = score(predictions, gtl)
         assert report.fp == 0 and report.fn == 0
-        assert report.tp == len(gtl.loop_pose_indices)
+        assert report.tp == len(loop_pose_indices(gtl))
 
     rng = np.random.default_rng(99)
     gt = [random_pose(rng, max_angle=2.0, max_radius=20.0) for _ in range(60)]

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     brute_force_densest_subset,
     random_consistency_instance,
+    set_density,
     straight_line_poses,
 )
 from textloop.association import (
@@ -15,9 +16,7 @@ from textloop.association import (
     AssociationParams,
     build_consistency_graph,
     build_ltem,
-    consistency_score,
     putative_associations,
-    set_density,
     solve_consistent_set,
     verify_candidate,
 )
@@ -123,20 +122,25 @@ def test_putative_associations_pair_equal_content():
 def test_consistency_score_values():
     from textloop.association import Ltem, LtemEntity
 
-    pc = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    a_i = Association(0, 0, "A")
-    a_j = Association(1, 1, "B")
+    def pair_affinity(gap_p, epsilon=0.5):
+        members = ((0, (0.0, 0.0, 0.0)),)
+
+        def ltem(center, gap):
+            entities = tuple(
+                LtemEntity(c, [x, 0.0, 0.0], members) for c, x in (("A", 0.0), ("B", gap))
+            )
+            return Ltem(center, (center, center), entities)
+
+        pairs = [Association(0, 0, "A"), Association(1, 1, "B")]
+        return build_consistency_graph(pairs, ltem(0, 2.0), ltem(9, gap_p), epsilon).affinity[0, 1]
+
     # candidate-side gap differs by 0.25 m -> halfway down the hat at epsilon 0.5
-    pp = np.array([[0.0, 0.0, 0.0], [2.25, 0.0, 0.0]])
-    assert consistency_score(a_i, a_j, pc, pp, epsilon=0.5) == pytest.approx(0.5)
-    pp[1, 0] = 2.0
-    assert consistency_score(a_i, a_j, pc, pp, epsilon=0.5) == pytest.approx(1.0)
-    pp[1, 0] = 2.5
-    assert consistency_score(a_i, a_j, pc, pp, epsilon=0.5) == 0.0
-    pp[1, 0] = 3.1
-    assert consistency_score(a_i, a_j, pc, pp, epsilon=0.5) == 0.0
+    assert pair_affinity(2.25) == pytest.approx(0.5)
+    assert pair_affinity(2.0) == pytest.approx(1.0)
+    assert pair_affinity(2.5) == 0.0
+    assert pair_affinity(3.1) == 0.0
     with pytest.raises(ValueError):
-        consistency_score(a_i, a_j, pc, pp, epsilon=0.0)
+        pair_affinity(3.1, epsilon=0.0)
 
 
 def test_support_shrinks_with_epsilon():

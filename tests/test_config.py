@@ -3,7 +3,6 @@ import pytest
 
 from textloop.config import DEFAULTS, ConfigError, PipelineConfig, load_config
 from textloop.loop_closure import DetectorParams
-from textloop.simulator import default_rig
 
 
 def test_defaults_load_without_file():
@@ -13,16 +12,6 @@ def test_defaults_load_without_file():
     assert config["graph"]["huber_delta"] is None
     params = config.detector_params()
     assert params == DetectorParams()
-
-
-def test_default_rig_matches_builder():
-    rig = load_config(None, environ={}).rig()
-    reference = default_rig()
-    assert rig.intrinsics == reference.intrinsics
-    np.testing.assert_allclose(rig.camera_in_lidar.rotation, reference.camera_in_lidar.rotation)
-    np.testing.assert_allclose(
-        rig.camera_in_lidar.translation, reference.camera_in_lidar.translation
-    )
 
 
 def test_file_values_override_defaults(tmp_path):

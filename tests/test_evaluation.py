@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import loop_pose_indices
 from textloop.evaluation import (
     LengthMismatch,
     LoopGroundTruth,
@@ -40,16 +41,15 @@ def _ring_positions(laps=2, n=40, radius=40.0 / (2.0 * np.pi)):
 def test_straight_line_has_no_loop_poses():
     positions = np.stack([np.arange(50.0), np.zeros(50), np.zeros(50)], axis=1)
     gtl = label_loop_poses(positions, tau=1.0, min_travel=10.0)
-    assert gtl.loop_pose_indices == []
+    assert loop_pose_indices(gtl) == []
 
 
 def test_ring_revisit_labeled_with_travel():
     # circle of circumference 40 m walked twice: the second lap revisits the first
     positions = _ring_positions(laps=2, n=40)
     gtl = label_loop_poses(positions, tau=1.0, min_travel=10.0)
-    assert gtl.is_loop_pose(40)
     assert 0 in gtl.partners[40]
-    assert not gtl.is_loop_pose(5)
+    assert not gtl.partners[5]
     cum = cumulative_path_length(positions)
     # the sampled path is a 40-gon, so one lap is the chord sum, not the arc length
     radius = 40.0 / (2.0 * np.pi)
@@ -88,23 +88,23 @@ def test_score_undefined_rates():
 
 def test_score_perfect_predictions():
     gtl = label_loop_poses(_ring_positions(laps=2, n=40))
-    predictions = [(k, gtl.partners[k][0]) for k in gtl.loop_pose_indices]
+    predictions = [(k, gtl.partners[k][0]) for k in loop_pose_indices(gtl)]
     report = score(predictions, gtl)
     assert report.recall == 1.0
     assert report.precision == 1.0
     assert report.fp == 0 and report.fn == 0
-    assert report.tp == len(gtl.loop_pose_indices)
+    assert report.tp == len(loop_pose_indices(gtl))
 
 
 def test_score_counts_wrong_partner_as_fp():
     gtl = label_loop_poses(_ring_positions(laps=2, n=40))
-    loop_poses = gtl.loop_pose_indices
+    loop_poses = loop_pose_indices(gtl)
     predictions = [(k, gtl.partners[k][0]) for k in loop_poses]
     clean = score(predictions, gtl)
     # inject one prediction at a non-loop pose with a far-away partner; every
     # second-lap pose revisits the first lap, so pick one early on lap one
     non_loop = 20
-    assert not gtl.is_loop_pose(non_loop)
+    assert not gtl.partners[non_loop]
     report = score(predictions + [(non_loop, 1)], gtl)
     assert report.tp == clean.tp
     assert report.fp == clean.fp + 1
@@ -113,7 +113,7 @@ def test_score_counts_wrong_partner_as_fp():
 
 def test_score_accounting_is_per_pose():
     gtl = label_loop_poses(_ring_positions(laps=2, n=40))
-    k = gtl.loop_pose_indices[0]
+    k = loop_pose_indices(gtl)[0]
     # two predictions for one pose, one right and one wrong: a single TP
     report = score([(k, gtl.partners[k][0]), (k, 1)], gtl)
     assert report.tp == 1 and report.fp == 0
@@ -163,7 +163,7 @@ def test_ate_length_mismatch():
 def test_make_report_shape():
     positions = _ring_positions(laps=2, n=40)
     gtl = label_loop_poses(positions)
-    predictions = [(k, gtl.partners[k][0]) for k in gtl.loop_pose_indices[:3]]
+    predictions = [(k, gtl.partners[k][0]) for k in loop_pose_indices(gtl)[:3]]
     report = make_report(predictions, gtl, positions, positions, params={"tau": 1.0})
     assert set(report) == {
         "recall",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import random_pose
 from textloop.geometry import (
     CameraIntrinsics,
     NearPiRotation,
@@ -32,10 +33,8 @@ from textloop.geometry import (
     project,
     project_array,
     quaternion_to_rotation,
-    random_pose,
     rotation_to_quaternion,
     se3_right_jacobian_inverse,
-    transform_point,
 )
 
 IDENTITY_K = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
@@ -97,7 +96,7 @@ def test_backproject_lands_on_plane():
             point = backproject(intr, plane, pixel)
         except (RayParallelToPlane, NegativeDepth):
             continue
-        assert abs(plane.signed_distance(point)) < 1e-9
+        assert abs(point @ plane.normal + plane.offset) < 1e-9
         reproj = project(intr, point)
         assert abs(reproj.u - pixel.u) < 1e-7 and abs(reproj.v - pixel.v) < 1e-7
 
@@ -224,9 +223,9 @@ def test_transform_point_batch_matches_single():
     rng = np.random.default_rng(37)
     pose = random_pose(rng)
     pts = rng.normal(size=(20, 3))
-    batch = transform_point(pose, pts)
+    batch = pose.apply(pts)
     for i in range(len(pts)):
-        np.testing.assert_allclose(batch[i], transform_point(pose, pts[i]), atol=1e-14)
+        np.testing.assert_allclose(batch[i], pose.apply(pts[i]), atol=1e-14)
 
 
 def test_quaternion_round_trip():

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import default_rig
 from textloop.cli import main
 from textloop.entities import TextDetection
 from textloop.geometry import Pose, exp_map
@@ -25,7 +26,7 @@ from textloop.logio import (
     texts_record,
     write_log,
 )
-from textloop.simulator import NoiseModel, build_world, default_rig, default_route, simulate
+from textloop.simulator import NoiseModel, build_world, default_route, simulate
 
 
 def _random_pose(rng) -> Pose:
@@ -82,9 +83,9 @@ def test_calib_and_detection_round_trip():
     rig = default_rig()
     recovered = parse_calib(calib_record(rig), line=1)
     assert recovered.intrinsics == rig.intrinsics
-    np.testing.assert_allclose(
-        recovered.camera_in_lidar.matrix(), rig.camera_in_lidar.matrix(), atol=1e-12
-    )
+    got, expected = recovered.camera_in_lidar, rig.camera_in_lidar
+    np.testing.assert_allclose(got.rotation, expected.rotation, atol=1e-12)
+    np.testing.assert_allclose(got.translation, expected.translation, atol=1e-12)
     quad = np.array([[10.0, 20.0], [40.0, 21.0], [41.0, 35.0], [11.0, 34.0]])
     record = texts_record(2.5, [TextDetection("EXIT", 0.93, quad, 2.5)])
     parsed = parse_detections(record, line=3)
@@ -356,3 +357,39 @@ def test_log_feeds_detect_the_bits_of_a_json_round_trip(corridor_lap, corridor_l
         # what a list payload gave detect: json's float repr round-trips float64
         as_json_list = np.asarray(json.loads(json.dumps(np.asarray(points).tolist())), dtype=float)
         assert got.tobytes() == as_json_list.reshape(-1, 3).tobytes()
+
+
+@pytest.mark.parametrize("kind, key", [("odom", "frame"), ("odom", "t"), ("gt", "frame")])
+def test_non_numeric_trajectory_field_exits_2(kind, key, tmp_path, capsys):
+    pose = Pose.identity()
+    records = [
+        odom_record(0.1 * k, k, pose) if kind == "odom" else gt_record(k, pose) for k in (0, 1)
+    ]
+    records[1][key] = "x"
+    path = tmp_path / "traj.jsonl"
+    write_log(path, records)
+    with pytest.raises(LogFormatError, match=f"line 2: bad {key} value"):
+        read_trajectory(path)
+    loops = tmp_path / "loops.jsonl"
+    loops.write_text("")
+    out = ["--loops", str(loops), "--out", str(tmp_path / "out.jsonl")]
+    traj = str(path)
+    for argv in (["optimize", "--log", traj], ["evaluate", "--traj", traj, "--gt", traj]):
+        assert main(argv + out) == 2
+        assert f"error: line 2: bad {key} value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "intrinsics, detail",
+    [(["a", 1, 2, 3], "could not convert"), ([-1, 1, 2, 3], "focal lengths must be positive")],
+    ids=["non_numeric", "negative_focal"],
+)
+def test_bad_calib_intrinsics_exit_2(intrinsics, detail, tmp_path, capsys):
+    record = calib_record(default_rig())
+    record["intrinsics"] = intrinsics
+    with pytest.raises(LogFormatError, match=f"line 1: bad intrinsics \\(.*{detail}"):
+        parse_calib(record, line=1)
+    path = tmp_path / "log.jsonl"
+    write_log(path, [record])
+    assert main(["detect", "--log", str(path), "--out", str(tmp_path / "loops.jsonl")]) == 2
+    assert "error: line 1: bad intrinsics" in capsys.readouterr().err

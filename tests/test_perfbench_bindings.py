@@ -1,8 +1,9 @@
-"""perfbench/spans.py patches package attributes by name; this keeps those names alive.
+"""perfbench reaches into the package by name; this keeps those names alive.
 
-The benchmark's own tests (``python -m pytest perfbench``) are not part of the
-main suite, so a renamed or removed binding would otherwise show only as a
-KeyError in the first traced benchmark run.
+``spans.py`` patches package attributes, and ``stage.py`` builds the detector
+itself and reads its attributes.  The benchmark's own tests (``python -m
+pytest perfbench``) are not part of the main suite, so a renamed or removed
+name would otherwise show only as an error in the first benchmark run.
 """
 
 import sys
@@ -11,7 +12,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
 
+import textloop.cli as cli  # noqa: E402
+from textloop.config import load_config  # noqa: E402
+from textloop.loop_closure import DetectorState  # noqa: E402
 from textloop.pose_graph import PoseGraph  # noqa: E402
+from textloop.simulator import build_world, default_route, simulate  # noqa: E402
 
 
 def test_tracer_wraps_every_binding_and_restores_it():
@@ -28,3 +33,39 @@ def test_tracer_wraps_every_binding_and_restores_it():
     wrapped = {(owner, attr) for owner, attr, _ in patched}
     for attr in ("optimize", "cost", "edge_jacobians"):
         assert (PoseGraph, attr) in wrapped
+
+
+def test_stage_builds_and_reads_the_detector(monkeypatch):
+    config = load_config(None, environ={})
+    route = default_route("corridor", laps=1)[:3]
+    result = simulate(build_world("corridor", seed=1), route, config.rig(), seed=1)
+    # stage.py's constructor call, its patch of on_odom and its in-memory replay
+    run = cli.DetectorRun(
+        rig=config.rig(),
+        extraction=config.extraction_params(),
+        state=DetectorState(config.detector_params()),
+    )
+    on_odom = cli.DetectorRun.on_odom
+    marks = []
+
+    def marked_on_odom(run, stamp, frame, pose):
+        marks.append(run.timings.images)
+        return on_odom(run, stamp, frame, pose)
+
+    monkeypatch.setattr(cli.DetectorRun, "on_odom", marked_on_odom)
+    camera = sorted(result.camera, key=lambda item: item[0])
+    next_image = 0
+    for frame, (stamp, pose) in enumerate(zip(result.stamps, result.odom_poses)):
+        run.on_odom(float(stamp), frame, pose)
+        run.on_cloud(frame, result.clouds[frame])
+        while next_image < len(camera) and camera[next_image][0] <= stamp:
+            t_image, detections = camera[next_image]
+            if detections:
+                run.on_texts(float(t_image), detections)
+            next_image += 1
+    run.finish()
+    assert len(marks) == len(result.stamps)
+    assert run.timings.images > 0 and marks[-1] > 0
+    assert len(run.state.db) > 0
+    assert len(run.state.clouds) == len(result.stamps)
+    assert sum(len(c.points) for c in run.state.clouds.values()) > 0

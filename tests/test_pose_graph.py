@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 
+from helpers import random_pose
 from textloop.geometry import (
     _SMALL_ANGLE,
     NearPiRotation,
@@ -12,7 +13,6 @@ from textloop.geometry import (
     _v_matrix_inverse,
     exp_map,
     log_map,
-    random_pose,
 )
 from textloop.loop_closure import LoopConstraint, LoopSource
 from textloop.pose_graph import (

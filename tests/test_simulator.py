@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import default_rig, placement_entity_pose
 from textloop.entities import ExtractionParams, classify_text, compile_id_pattern, extract_entities
 from textloop.entities import TextCategory
 from textloop.geometry import interpolate
@@ -14,7 +15,6 @@ from textloop.simulator import (
     World,
     _misread,
     build_world,
-    default_rig,
     default_route,
     route_poses,
     simulate,
@@ -198,7 +198,7 @@ def test_zero_noise_detections_recover_placement_poses():
     result = simulate(world, route, rig, NoiseModel(), seed=6)
     stamps = list(result.stamps)
     clouds = {k: c for k, c in enumerate(result.clouds)}
-    reference = {p.content: world.placement_entity_pose(p) for p in world.placements}
+    reference = {p.content: placement_entity_pose(world, p) for p in world.placements}
     params = ExtractionParams()
     checked = 0
     for k, (t_image, dets) in enumerate(result.camera):
