@@ -81,7 +81,6 @@ class AssociationParams:
     d_ltem: float = DEFAULT_WINDOW_RADIUS
     r_merge: float = DEFAULT_MERGE_RADIUS
     min_consistent: int = MIN_CONSISTENT_SET
-    exact_cutoff: int = EXACT_SOLVER_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,7 @@ def verify_candidate(
     if len(associations) < params.min_consistent:
         return None
     graph = build_consistency_graph(associations, map_c, map_p, params.epsilon)
-    mode = "exact" if len(graph) <= params.exact_cutoff else "relaxed"
+    mode = "exact" if len(graph) <= EXACT_SOLVER_CUTOFF else "relaxed"
     consistent = solve_consistent_set(graph, mode)
     if len(consistent) < params.min_consistent:
         return None

@@ -23,6 +23,7 @@ from .evaluation import LengthMismatch, label_loop_poses, make_report
 from .geometry import GeometryError
 from .logio import (
     LogFormatError,
+    json_int,
     odom_record,
     parse_calib,
     parse_cloud,
@@ -174,16 +175,25 @@ def optimize_trajectory(odom_poses, constraints, config: PipelineConfig):
     return graph.nodes, report
 
 
-def _load_loops(path) -> list[LoopConstraint]:
+def _load_loops(path, n_poses: int) -> list[LoopConstraint]:
+    """Loop records whose frames are integers with 0 <= j < i < n_poses."""
     constraints = []
     with open(path, "r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, start=1):
             if not raw.strip():
                 continue
             try:
-                constraints.append(LoopConstraint.from_json(json.loads(raw)))
+                obj = json.loads(raw)
+                constraint = LoopConstraint.from_json(obj)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise LogFormatError(f"line {number}: bad loop record ({exc})") from exc
+            i = parse_field(obj, "i", json_int, number)
+            j = parse_field(obj, "j", json_int, number)
+            if not 0 <= j < i < n_poses:
+                raise LogFormatError(
+                    f"line {number}: loop ({i}, {j}) outside the {n_poses} poses of the trajectory"
+                )
+            constraints.append(constraint)
     return constraints
 
 
@@ -232,7 +242,7 @@ def cmd_detect(args) -> int:
             raise LogFormatError(f"line {record.line}: first record must be calib")
         elif record.kind == "odom":
             t = parse_field(payload, "t", float, record.line)
-            frame = parse_field(payload, "frame", int, record.line)
+            frame = parse_field(payload, "frame", json_int, record.line)
             pose = parse_pose(payload["pose"], record.line)
             try:
                 run.on_odom(t, frame, pose)
@@ -240,7 +250,7 @@ def cmd_detect(args) -> int:
                 raise LogFormatError(f"line {record.line}: {exc}") from exc
         elif record.kind == "cloud":
             points = parse_cloud(payload, record.line)
-            run.on_cloud(parse_field(payload, "frame", int, record.line), points)
+            run.on_cloud(parse_field(payload, "frame", json_int, record.line), points)
         elif record.kind == "texts":
             run.on_texts(
                 parse_field(payload, "t", float, record.line),
@@ -268,7 +278,7 @@ def cmd_detect(args) -> int:
 def cmd_optimize(args) -> int:
     config = load_config(args.config)
     stamps, odom_poses = read_trajectory(args.log)
-    constraints = _load_loops(args.loops)
+    constraints = _load_loops(args.loops, len(odom_poses))
     nodes, report = optimize_trajectory(odom_poses, constraints, config)
     records = []
     for frame, pose in enumerate(nodes):
@@ -288,7 +298,7 @@ def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     _, est = read_trajectory(args.traj)
     _, gt = read_trajectory(args.gt)
-    constraints = _load_loops(args.loops)
+    constraints = _load_loops(args.loops, len(gt))
     ev = config["eval"]
     if len(gt) < 2:
         raise LogFormatError("ground truth must contain at least two poses")

@@ -1,7 +1,7 @@
 """Run configuration: INI file -> typed pipeline parameters.
 
 Every key has a default, so all commands run with no config file at all.
-Values are parsed as JSON fragments (numbers, booleans, lists); anything
+Values are parsed as JSON fragments (numbers, lists, null); anything
 that fails to parse as JSON is kept as a plain string, which keeps regex
 patterns and scenario names quote-free in the file.  Environment variables
 named TEXTLOOP_<SECTION>__<KEY> override both defaults and file values.
@@ -43,12 +43,9 @@ DEFAULTS: dict[str, dict] = {
         "d_ltem": 10.0,
         "r_merge": 1.0,
         "min_consistent": 3,
-        "exact_cutoff": 20,
         "s_min": 10.0,
         "max_offset": 1.5,
         "cooldown_frames": 10,
-        "gate_generic_with_icp": True,
-        "refine_poses": True,
     },
     "ransac": {
         "iterations": 100,
@@ -114,11 +111,7 @@ def _coerce(section: str, key: str, value, default):
     """Fit a parsed value to the default's type; reject structural mismatches."""
     if default is None or value is None:
         return value
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"[{section}] {key} expects true/false, got {value!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
+    if isinstance(default, int):
         if isinstance(value, int) and not isinstance(value, bool):
             return value
         raise ConfigError(f"[{section}] {key} expects an integer, got {value!r}")
@@ -191,14 +184,11 @@ class PipelineConfig:
             loop_sigma_t=e["loop_sigma_t"],
             loop_sigma_r=e["loop_sigma_r"],
             unrefined_scale=e["unrefined_scale"],
-            gate_generic_with_icp=d["gate_generic_with_icp"],
-            refine_poses=d["refine_poses"],
             association=AssociationParams(
                 epsilon=d["epsilon"],
                 d_ltem=d["d_ltem"],
                 r_merge=d["r_merge"],
                 min_consistent=d["min_consistent"],
-                exact_cutoff=d["exact_cutoff"],
             ),
             icp=IcpParams(
                 max_iterations=i["max_iterations"],

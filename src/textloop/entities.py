@@ -299,18 +299,6 @@ def pose_at_image_time(stamps, poses, t_image: float) -> tuple[int, Pose]:
     return i, interpolate(rel, factor)
 
 
-def anchor_entity(
-    pose_in_camera: Pose, rig: CalibratedRig, t_image: float, stamps, poses
-) -> tuple[int, Pose]:
-    """Express a camera-frame entity pose in the bracketing odometry frame.
-
-    Returns (anchor frame index, entity pose in that LiDAR frame).  Raises
-    UnbracketedTimestamp when t_image is outside the odometry span.
-    """
-    i, motion = pose_at_image_time(stamps, poses, t_image)
-    return i, motion @ rig.camera_in_lidar @ pose_in_camera
-
-
 @dataclass(frozen=True)
 class ExtractionParams:
     min_confidence: float = CONTENT_MIN_CONFIDENCE

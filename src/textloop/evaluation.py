@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, cumulative_path_length
+from .geometry import Pose, cumulative_path_length, kabsch
 
 DEFAULT_TAU = 1.0
 DEFAULT_MIN_TRAVEL = 10.0
@@ -101,8 +101,7 @@ def score(predictions, gtl: LoopGroundTruth) -> ScoreReport:
 class AteResult:
     mean_error: float
     per_pose: np.ndarray
-    rotation: np.ndarray
-    translation: np.ndarray
+    alignment: Pose
 
 
 def ate(est, gt) -> AteResult:
@@ -113,21 +112,9 @@ def ate(est, gt) -> AteResult:
         raise LengthMismatch(f"{len(est_positions)} estimated vs {len(gt_positions)} reference")
     if len(est_positions) == 0:
         raise ValueError("empty trajectories")
-    centroid_e = est_positions.mean(axis=0)
-    centroid_g = gt_positions.mean(axis=0)
-    h = (est_positions - centroid_e).T @ (gt_positions - centroid_g)
-    u, _, vt = np.linalg.svd(h)
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    rotation = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
-    translation = centroid_g - rotation @ centroid_e
-    aligned = est_positions @ rotation.T + translation
-    per_pose = np.linalg.norm(aligned - gt_positions, axis=1)
-    return AteResult(
-        mean_error=float(per_pose.mean()),
-        per_pose=per_pose,
-        rotation=rotation,
-        translation=translation,
-    )
+    alignment = kabsch(est_positions, gt_positions)
+    per_pose = np.linalg.norm(alignment.apply(est_positions) - gt_positions, axis=1)
+    return AteResult(mean_error=float(per_pose.mean()), per_pose=per_pose, alignment=alignment)
 
 
 def make_report(predictions, gtl: LoopGroundTruth, est, gt, params: dict | None = None) -> dict:

@@ -269,12 +269,6 @@ class Pose:
     def from_json(cls, obj: dict) -> "Pose":
         return cls(quaternion_to_rotation(np.asarray(obj["q"], dtype=float)), obj["t"])
 
-    def is_close(self, other: "Pose", tol: float = 1e-9) -> bool:
-        return bool(
-            np.allclose(self.rotation, other.rotation, atol=tol)
-            and np.allclose(self.translation, other.translation, atol=tol)
-        )
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -405,6 +399,17 @@ def interpolate(pose: Pose, factor: float) -> Pose:
     if not 0.0 <= factor <= 1.0:
         raise OutOfRangeFactor(f"interpolation factor {factor} outside [0, 1]")
     return exp_map(factor * log_map(pose))
+
+
+def kabsch(source: np.ndarray, target: np.ndarray) -> Pose:
+    """Least-squares rigid transform taking (N, 3) source points onto target points."""
+    centroid_s = source.mean(axis=0)
+    centroid_t = target.mean(axis=0)
+    h = (source - centroid_s).T @ (target - centroid_t)
+    u, _, vt = np.linalg.svd(h)
+    sign = np.sign(np.linalg.det(vt.T @ u.T))
+    rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
+    return Pose(rot, centroid_t - rot @ centroid_s)
 
 
 def adjoint(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:

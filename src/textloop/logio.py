@@ -130,6 +130,13 @@ def parse_field(payload: dict, key: str, conv, line: int):
         raise LogFormatError(f"line {line}: bad {key} value ({exc})") from exc
 
 
+def json_int(value) -> int:
+    """A JSON integer as is; a float or a boolean is a TypeError, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def parse_pose(obj: dict, line: int) -> Pose:
     try:
         return Pose.from_json(obj)
@@ -220,7 +227,7 @@ def read_trajectory(path) -> tuple[list[float | None], list[Pose]]:
         else:
             continue
         rows.append(
-            (parse_field(payload, "frame", int, line), t, parse_pose(payload["pose"], line))
+            (parse_field(payload, "frame", json_int, line), t, parse_pose(payload["pose"], line))
         )
     rows.sort(key=lambda row: row[0])
     frames = [row[0] for row in rows]

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 from .association import AssociationParams, Ltem, build_ltem, verify_candidate
 from .database import Observation, ObservationDatabase
 from .entities import TextCategory, TextEntity, TooFewPoints
-from .geometry import Pose
+from .geometry import Pose, kabsch
 
 MIN_TRAVEL_DISTANCE = 10.0
 MAX_LOOP_OFFSET = 1.5
@@ -105,17 +105,6 @@ def relative_pose_from_entities(text_in_i: Pose, text_in_j: Pose) -> Pose:
     return text_in_i @ text_in_j.inverse()
 
 
-def _kabsch(source: np.ndarray, target: np.ndarray) -> Pose:
-    """Least-squares rigid transform taking source points onto target points."""
-    centroid_s = source.mean(axis=0)
-    centroid_t = target.mean(axis=0)
-    h = (source - centroid_s).T @ (target - centroid_t)
-    u, _, vt = np.linalg.svd(h)
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
-    return Pose(rot, centroid_t - rot @ centroid_s)
-
-
 def icp_verify(
     cloud_i: LocalCloud, cloud_j: LocalCloud, init: Pose, params: IcpParams = IcpParams()
 ) -> IcpResult:
@@ -147,7 +136,7 @@ def icp_verify(
             converged = True
             break
         last_rms = rms
-        pose = _kabsch(source[matched], target[index[matched]])
+        pose = kabsch(source[matched], target[index[matched]])
     accepted = converged and fitness >= params.min_fitness and rms <= params.max_rms
     return IcpResult(pose=pose, fitness=fitness, rms=rms, converged=converged, accepted=accepted)
 
@@ -160,8 +149,6 @@ class DetectorParams:
     loop_sigma_t: float = LOOP_SIGMA_T
     loop_sigma_r: float = LOOP_SIGMA_R
     unrefined_scale: float = UNREFINED_SIGMA_SCALE
-    gate_generic_with_icp: bool = True
-    refine_poses: bool = True
     association: AssociationParams = field(default_factory=AssociationParams)
     icp: IcpParams = field(default_factory=IcpParams)
 
@@ -255,20 +242,20 @@ def _close_loop(
 ) -> LoopConstraint | None:
     """Verify one candidate pair with ICP seeded at the entity-derived `prior`.
 
-    The constraint carries the ICP pose when it was accepted and refinement is
-    on, otherwise the prior; either way its translation must stay within
-    max_offset.
+    A pair ICP rejects is dropped.  When ICP cannot run (a missing or sparse
+    cloud) an ID pair is dropped too, while a generic pair, already verified
+    by association, keeps the prior with inflated uncertainty.  Otherwise the
+    constraint carries the ICP pose.  Either way its translation must stay
+    within max_offset.
     """
     icp = _icp_between(state, frame, obs.frame, prior)
-    if source is LoopSource.ID_TEXT:
-        # content alone cannot distinguish repeated installations of one sign,
-        # so the cloud check is mandatory for ID texts
-        if icp is None or not icp.accepted:
-            return None
-    elif state.params.gate_generic_with_icp and icp is not None and not icp.accepted:
+    if icp is not None and not icp.accepted:
         return None
-    use_refined = state.params.refine_poses and icp is not None and icp.accepted
-    pose = icp.pose if use_refined else prior
+    # content alone cannot distinguish repeated installations of one sign,
+    # so the cloud check is mandatory for ID texts
+    if icp is None and source is LoopSource.ID_TEXT:
+        return None
+    pose = prior if icp is None else icp.pose
     # the relative translation measures how far apart the two poses really
     # are; a large value means "same sign seen from elsewhere", not a revisit
     if float(np.linalg.norm(pose.translation)) > state.params.max_offset:
@@ -277,7 +264,7 @@ def _close_loop(
         frame_i=frame,
         frame_j=obs.frame,
         relative_pose=pose,
-        information=_information_matrix(state.params, refined=use_refined),
+        information=_information_matrix(state.params, refined=icp is not None),
         source=source,
     )
 

@@ -269,8 +269,13 @@ def _place_signs(walls, chain, positions, contents, category, heights, wall_offs
     return placements
 
 
-def _ring_floor(rng, outer, inner, z0, id_prefix, id_count, generic_contents, generic_gap):
-    """One rectangular ring corridor floor: walls plus ID and generic signs."""
+def _ring_floor(
+    rng, outer, inner, z0, id_prefix, id_count, generic_contents, generic_gap, wall_offset=0
+):
+    """One rectangular ring corridor floor: walls plus ID and generic signs.
+
+    Sign wall indices count from wall_offset, where the floor's walls start.
+    """
     walls = _rect_walls(*outer, z0, z0 + WALL_HEIGHT, inward=True)
     walls += _rect_walls(*inner, z0, z0 + WALL_HEIGHT, inward=False)
     outer_chain = [0, 1, 2, 3]
@@ -288,6 +293,7 @@ def _ring_floor(rng, outer, inner, z0, id_prefix, id_count, generic_contents, ge
         [f"{id_prefix}-R{k + 1:02d}" for k in range(id_count)],
         TextCategory.ID,
         id_heights,
+        wall_offset,
     )
     generic_positions = [4.0 + k * generic_gap + rng.uniform(-0.5, 0.5) for k in range(len(generic_contents))]
     generic_heights = z0 + 1.4 + rng.uniform(-0.1, 0.1, size=len(generic_contents))
@@ -298,6 +304,7 @@ def _ring_floor(rng, outer, inner, z0, id_prefix, id_count, generic_contents, ge
         generic_contents,
         TextCategory.GENERIC,
         generic_heights,
+        wall_offset,
     )
     return walls, ids + generics
 
@@ -345,33 +352,22 @@ def build_world(scenario: str, seed: int = 0) -> World:
     # room-code prefix distinguishes floors
     generic_contents = list(rng.permutation(GENERIC_POOL))[:3]
     floor_rng_state = rng.bit_generator.state
-    floors = []
+    walls, placements = [], []
     for floor in range(2):
         rng.bit_generator.state = floor_rng_state
-        floors.append(
-            _ring_floor(
-                rng,
-                outer=(0.0, 0.0, 22.0, 12.0),
-                inner=(2.5, 2.5, 19.5, 9.5),
-                z0=floor * FLOOR_SPACING,
-                id_prefix=f"F{floor + 1}",
-                id_count=10,
-                generic_contents=generic_contents,
-                generic_gap=16.0,
-            )
+        floor_walls, floor_placements = _ring_floor(
+            rng,
+            outer=(0.0, 0.0, 22.0, 12.0),
+            inner=(2.5, 2.5, 19.5, 9.5),
+            z0=floor * FLOOR_SPACING,
+            id_prefix=f"F{floor + 1}",
+            id_count=10,
+            generic_contents=generic_contents,
+            generic_gap=16.0,
+            wall_offset=len(walls),
         )
-    walls = list(floors[0][0]) + list(floors[1][0])
-    placements = list(floors[0][1])
-    for p in floors[1][1]:
-        placements.append(
-            Placement(
-                content=p.content,
-                category=p.category,
-                wall_index=p.wall_index + 8,
-                offset=p.offset,
-                height=p.height,
-            )
-        )
+        walls += floor_walls
+        placements += floor_placements
     return World(
         walls=tuple(walls),
         placements=tuple(placements),

@@ -49,6 +49,14 @@ def random_pose(rng: np.random.Generator, max_angle: float = 3.0, max_radius: fl
     return Pose(_so3_exp(angle * axis), rng.uniform(-max_radius, max_radius, size=3))
 
 
+def poses_close(a: Pose, b: Pose, tol: float) -> bool:
+    """Rotations and translations each np.allclose with absolute tolerance tol."""
+    return bool(
+        np.allclose(a.rotation, b.rotation, atol=tol)
+        and np.allclose(a.translation, b.translation, atol=tol)
+    )
+
+
 def placement_entity_pose(world: World, p: Placement) -> Pose:
     """Reference text pose of a sign: left-edge midpoint, x along the wall, z facing out."""
     wall = world.walls[p.wall_index]

@@ -16,6 +16,7 @@ from helpers import (
     cli_pipeline,
     default_rig,
     loop_pose_indices,
+    poses_close,
     random_consistency_instance,
     random_pose,
     run_digests,
@@ -74,8 +75,8 @@ def test_geometry_round_trips_within_tolerance_and_time_budget():
 
     for _ in range(1000):
         pose = random_pose(rng, max_angle=3.0)
-        assert interpolate(pose, 0.0).is_close(Pose.identity(), tol=1e-12)
-        assert interpolate(pose, 1.0).is_close(pose, tol=1e-12)
+        assert poses_close(interpolate(pose, 0.0), Pose.identity(), tol=1e-12)
+        assert poses_close(interpolate(pose, 1.0), pose, tol=1e-12)
 
     for _ in range(1000):
         xi = rng.normal(scale=1.0, size=6)

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from helpers import assert_golden, sha256_of, simulate_and_detect
+from helpers import assert_golden, poses_close, sha256_of, simulate_and_detect
 from textloop.cli import main
 from textloop.geometry import Pose
-from textloop.logio import read_trajectory
-from textloop.loop_closure import LoopConstraint
+from textloop.logio import gt_record, read_trajectory, write_log
+from textloop.loop_closure import LoopConstraint, LoopSource
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,7 @@ def test_optimize_with_empty_loops_returns_odometry(run_dir, tmp_path):
     _, odom = read_trajectory(run_dir / "log.jsonl")
     _, optimized = read_trajectory(traj)
     assert len(odom) == len(optimized)
-    assert all(a.is_close(b, tol=1e-10) for a, b in zip(odom, optimized))
+    assert all(poses_close(a, b, tol=1e-10) for a, b in zip(odom, optimized))
 
 
 def test_evaluate_est_equal_gt_scores_zero_ate(run_dir, tmp_path):
@@ -151,8 +151,6 @@ def test_evaluate_est_equal_gt_scores_zero_ate(run_dir, tmp_path):
 def test_evaluate_mismatched_lengths_exits_2(run_dir, tmp_path, capsys):
     _, gt = read_trajectory(run_dir / "gt.jsonl")
     short = tmp_path / "short.jsonl"
-    from textloop.logio import gt_record, write_log
-
     write_log(short, [gt_record(k, p) for k, p in enumerate(gt[:-5])])
     rc = main(
         [
@@ -187,3 +185,54 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     rc = main(["detect", "--log", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _three_pose_run(tmp_path, loop: dict) -> tuple[str, str]:
+    """A 3-pose ground truth (usable as log, traj and gt) and a one-record loops file."""
+    traj = tmp_path / "gt.jsonl"
+    write_log(traj, [gt_record(k, Pose(np.eye(3), [float(k), 0.0, 0.0])) for k in range(3)])
+    loops = tmp_path / "loops.jsonl"
+    write_log(loops, [loop])
+    return str(traj), str(loops)
+
+
+def _optimize_and_evaluate(traj: str, loops: str, tmp_path) -> list[list[str]]:
+    out = ["--loops", loops, "--out", str(tmp_path / "out")]
+    return [
+        ["optimize", "--log", traj] + out,
+        ["evaluate", "--traj", traj, "--gt", traj] + out,
+    ]
+
+
+def _loop_record(i, j) -> dict:
+    record = LoopConstraint(2, 0, Pose.identity(), np.eye(6), LoopSource.ID_TEXT).to_json()
+    record.update(i=i, j=j)
+    return record
+
+
+@pytest.mark.parametrize("i, j", [(10, 0), (3, 1), (2, -1)])
+def test_loop_outside_trajectory_exits_2(i, j, tmp_path, capsys):
+    traj, loops = _three_pose_run(tmp_path, _loop_record(i, j))
+    for argv in _optimize_and_evaluate(traj, loops, tmp_path):
+        assert main(argv) == 2
+        assert f"error: line 1: loop ({i}, {j}) outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("i", 1.9), ("i", True), ("j", 0.5), ("j", False)])
+def test_non_integer_loop_frame_exits_2(key, value, tmp_path, capsys):
+    traj, loops = _three_pose_run(tmp_path, {**_loop_record(2, 0), key: value})
+    for argv in _optimize_and_evaluate(traj, loops, tmp_path):
+        assert main(argv) == 2
+        assert f"error: line 1: bad {key} value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["gate_generic_with_icp", "refine_poses", "exact_cutoff"])
+def test_removed_detect_keys_are_unknown(key, tmp_path, capsys, monkeypatch):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[detect]\n{key} = true\n")
+    argv = ["detect", "--log", str(tmp_path / "log.jsonl"), "--out", str(tmp_path / "loops")]
+    assert main(argv + ["--config", str(config)]) == 2
+    assert f"error: unknown key '{key}' in section [detect]" in capsys.readouterr().err
+    monkeypatch.setenv(f"TEXTLOOP_DETECT__{key.upper()}", "20")
+    assert main(argv) == 2
+    assert f"error: unknown key '{key}' in section [detect]" in capsys.readouterr().err

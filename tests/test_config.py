@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,8 +45,8 @@ def test_type_mismatches_rejected():
         PipelineConfig({"detect": {"s_min": "plenty"}})
     with pytest.raises(ConfigError, match="expects an integer"):
         PipelineConfig({"detect": {"cooldown_frames": 2.5}})
-    with pytest.raises(ConfigError, match="true/false"):
-        PipelineConfig({"detect": {"refine_poses": 1}})
+    with pytest.raises(ConfigError, match="expects a number"):
+        PipelineConfig({"detect": {"max_offset": True}})
 
 
 def test_integer_widens_to_float():
@@ -87,3 +90,12 @@ def test_noise_model_built_from_sim_section():
     np.testing.assert_allclose(noise.odom_sigma, [0.005] * 3 + [0.001] * 3)
     assert noise.detect_prob == 0.8
     assert noise.max_range == 8.0
+
+
+def test_readme_table_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {}
+    for section, keys in re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", readme, re.MULTILINE):
+        names = re.findall(r"`([^`]*)`", keys)
+        documented[section] = sorted(n.strip() for name in names for n in name.split(","))
+    assert documented == {section: sorted(keys) for section, keys in DEFAULTS.items()}

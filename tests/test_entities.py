@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import poses_close
 from textloop import entities as entities_module
 from textloop.entities import (
     CalibratedRig,
@@ -21,13 +22,13 @@ from textloop.entities import (
     TooFewPoints,
     UnbracketedTimestamp,
     accumulate_local_cloud,
-    anchor_entity,
     classify_text,
     extract_entities,
     fit_plane_ransac,
     make_entity_pose,
     normalize_content,
     points_in_region,
+    pose_at_image_time,
 )
 from textloop.geometry import CameraIntrinsics, PlaneParams, Pose, project
 
@@ -207,11 +208,17 @@ def test_make_entity_pose_degenerate_edge():
         make_entity_pose(K100, plane, quad)
 
 
+def _anchor(pose_in_camera, rig, t_image, stamps, poses):
+    """Anchor frame and entity pose in it, composed as extract_entities does."""
+    frame, motion = pose_at_image_time(stamps, poses, t_image)
+    return frame, motion @ rig.camera_in_lidar @ pose_in_camera
+
+
 def test_anchor_entity_midpoint():
     rig = CalibratedRig(K100, Pose.identity())
     stamps = [0.0, 1.0]
     poses = [Pose.identity(), _translation(1.0)]
-    frame, anchored = anchor_entity(Pose.identity(), rig, 0.5, stamps, poses)
+    frame, anchored = _anchor(Pose.identity(), rig, 0.5, stamps, poses)
     assert frame == 0
     np.testing.assert_allclose(anchored.translation, [0.5, 0.0, 0.0], atol=1e-12)
 
@@ -221,9 +228,9 @@ def test_anchor_entity_exact_stamp_uses_no_interpolation():
     stamps = [0.0, 1.0]
     poses = [Pose.identity(), _translation(1.0)]
     text_pose = _translation(0.0, 0.0, 3.0)
-    frame, anchored = anchor_entity(text_pose, rig, 1.0, stamps, poses)
+    frame, anchored = _anchor(text_pose, rig, 1.0, stamps, poses)
     assert frame == 1
-    assert anchored.is_close(text_pose, tol=1e-12)
+    assert poses_close(anchored, text_pose, tol=1e-12)
 
 
 def test_anchor_entity_rotating_odometry():
@@ -232,7 +239,7 @@ def test_anchor_entity_rotating_odometry():
     yaw90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     stamps = [0.0, 2.0]
     poses = [Pose.identity(), Pose(yaw90, [2.0, 0.0, 1.0])]
-    _, anchored = anchor_entity(Pose.identity(), rig, 1.0, stamps, poses)
+    _, anchored = _anchor(Pose.identity(), rig, 1.0, stamps, poses)
     np.testing.assert_allclose(
         anchored.translation, [1.0000000000000002, -0.4142135623730951, 0.5], atol=1e-12
     )
@@ -243,9 +250,9 @@ def test_anchor_entity_unbracketed():
     stamps = [0.0, 1.0]
     poses = [Pose.identity(), _translation(1.0)]
     with pytest.raises(UnbracketedTimestamp):
-        anchor_entity(Pose.identity(), rig, 1.5, stamps, poses)
+        _anchor(Pose.identity(), rig, 1.5, stamps, poses)
     with pytest.raises(UnbracketedTimestamp):
-        anchor_entity(Pose.identity(), rig, -0.5, stamps, poses)
+        _anchor(Pose.identity(), rig, -0.5, stamps, poses)
 
 
 def _wall_scene():

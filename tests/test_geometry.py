@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_pose
+from helpers import poses_close, random_pose
 from textloop.geometry import (
     CameraIntrinsics,
     NearPiRotation,
@@ -133,7 +133,7 @@ def test_exp_map_pure_yaw():
 
 def test_exp_map_zero_is_identity():
     pose = exp_map(np.zeros(6))
-    assert pose.is_close(Pose.identity(), tol=1e-16)
+    assert poses_close(pose, Pose.identity(), tol=1e-16)
 
 
 def test_log_map_against_matrix_log():
@@ -175,8 +175,8 @@ def test_interpolate_endpoints_exact():
     pose = _yaw_pose()
     start = interpolate(pose, 0.0)
     end = interpolate(pose, 1.0)
-    assert start.is_close(Pose.identity(), tol=1e-12)
-    assert end.is_close(pose, tol=1e-12)
+    assert poses_close(start, Pose.identity(), tol=1e-12)
+    assert poses_close(end, pose, tol=1e-12)
 
 
 def test_interpolate_half_translation():
@@ -215,8 +215,8 @@ def test_compose_inverse_identity():
     rng = np.random.default_rng(31)
     for _ in range(50):
         pose = random_pose(rng)
-        assert (pose @ pose.inverse()).is_close(Pose.identity(), tol=1e-12)
-        assert (pose.inverse() @ pose).is_close(Pose.identity(), tol=1e-12)
+        assert poses_close(pose @ pose.inverse(), Pose.identity(), tol=1e-12)
+        assert poses_close(pose.inverse() @ pose, Pose.identity(), tol=1e-12)
 
 
 def test_transform_point_batch_matches_single():
@@ -258,7 +258,7 @@ def test_pose_json_round_trip():
     for _ in range(20):
         pose = random_pose(rng)
         again = Pose.from_json(pose.to_json())
-        assert again.is_close(pose, tol=1e-12)
+        assert poses_close(again, pose, tol=1e-12)
 
 
 def test_adjoint_conjugation_identity():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import default_rig
+from helpers import default_rig, poses_close
 from textloop.cli import main
 from textloop.entities import TextDetection
 from textloop.geometry import Pose, exp_map
@@ -119,7 +119,7 @@ def test_read_trajectory_sorts_and_validates(tmp_path):
     stamps, recovered = read_trajectory(path)
     assert stamps == [0.0, pytest.approx(0.1), pytest.approx(0.2), pytest.approx(0.3)]
     for got, expected in zip(recovered, poses):
-        assert got.is_close(expected, tol=1e-12)
+        assert poses_close(got, expected, tol=1e-12)
 
     gappy = tmp_path / "gappy.jsonl"
     write_log(gappy, [odom_record(0.0, 0, poses[0]), odom_record(0.2, 2, poses[2])])
@@ -134,7 +134,7 @@ def test_gt_records_read_as_trajectory(tmp_path):
     write_log(path, [gt_record(k, p) for k, p in enumerate(poses)])
     stamps, recovered = read_trajectory(path)
     assert stamps == [None, None, None]
-    assert all(g.is_close(p, tol=1e-12) for g, p in zip(recovered, poses))
+    assert all(poses_close(g, p, tol=1e-12) for g, p in zip(recovered, poses))
 
 
 def _records_oracle(result) -> tuple[list[dict], list[dict]]:
@@ -359,13 +359,33 @@ def test_log_feeds_detect_the_bits_of_a_json_round_trip(corridor_lap, corridor_l
         assert got.tobytes() == as_json_list.reshape(-1, 3).tobytes()
 
 
-@pytest.mark.parametrize("kind, key", [("odom", "frame"), ("odom", "t"), ("gt", "frame")])
-def test_non_numeric_trajectory_field_exits_2(kind, key, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("odom", "frame", "x"),
+        ("odom", "t", "x"),
+        ("gt", "frame", "x"),
+        ("odom", "frame", 1.9),
+        ("odom", "frame", True),
+        ("gt", "frame", 1.9),
+        ("gt", "frame", True),
+    ],
+    ids=[
+        "odom-frame",
+        "odom-t",
+        "gt-frame",
+        "odom-frame-float",
+        "odom-frame-bool",
+        "gt-frame-float",
+        "gt-frame-bool",
+    ],
+)
+def test_non_numeric_trajectory_field_exits_2(kind, key, value, tmp_path, capsys):
     pose = Pose.identity()
     records = [
         odom_record(0.1 * k, k, pose) if kind == "odom" else gt_record(k, pose) for k in (0, 1)
     ]
-    records[1][key] = "x"
+    records[1][key] = value
     path = tmp_path / "traj.jsonl"
     write_log(path, records)
     with pytest.raises(LogFormatError, match=f"line 2: bad {key} value"):
@@ -377,6 +397,21 @@ def test_non_numeric_trajectory_field_exits_2(kind, key, tmp_path, capsys):
     for argv in (["optimize", "--log", traj], ["evaluate", "--traj", traj, "--gt", traj]):
         assert main(argv + out) == 2
         assert f"error: line 2: bad {key} value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [1.9, True], ids=["float", "bool"])
+@pytest.mark.parametrize("kind", ["odom", "cloud"])
+def test_non_integer_sensor_frame_exits_2(kind, value, tmp_path, capsys):
+    pose, points = Pose.identity(), np.zeros((1, 3))
+    records = [calib_record(default_rig())]
+    for k in (0, 1):
+        records += [odom_record(0.1 * k, k, pose), cloud_record(k, points)]
+    line = 4 if kind == "odom" else 5
+    records[line - 1]["frame"] = value
+    path = tmp_path / "log.jsonl"
+    write_log(path, records)
+    assert main(["detect", "--log", str(path), "--out", str(tmp_path / "loops.jsonl")]) == 2
+    assert f"error: line {line}: bad frame value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import poses_close
 from textloop import loop_closure
 from textloop.entities import TextCategory, TextEntity, TooFewPoints
 from textloop.geometry import Pose, exp_map
@@ -98,7 +99,7 @@ def test_icp_identical_clouds():
     assert result.accepted
     assert result.fitness == 1.0
     assert result.rms < 1e-12
-    assert result.pose.is_close(Pose.identity(), tol=1e-9)
+    assert poses_close(result.pose, Pose.identity(), tol=1e-9)
 
 
 def test_icp_recovers_known_transform():
@@ -112,7 +113,7 @@ def test_icp_recovers_known_transform():
     assert result.accepted
     assert result.fitness == 1.0
     assert result.rms < 1e-9
-    assert result.pose.is_close(pose_j, tol=1e-9)
+    assert poses_close(result.pose, pose_j, tol=1e-9)
 
 
 def test_icp_rejects_disjoint_clouds():
@@ -147,7 +148,7 @@ def test_relative_pose_from_entities():
     text_in_a = pose_a.inverse() @ world_text
     text_in_b = pose_b.inverse() @ world_text
     rel = relative_pose_from_entities(text_in_a, text_in_b)
-    assert rel.is_close(pose_a.inverse() @ pose_b, tol=1e-12)
+    assert poses_close(rel, pose_a.inverse() @ pose_b, tol=1e-12)
     assert np.allclose(rel.apply(text_in_b.translation), text_in_a.translation, atol=1e-12)
 
 
@@ -173,7 +174,7 @@ def test_constraint_json_round_trip():
     back = LoopConstraint.from_json(constraint.to_json())
     assert back.frame_i == 40 and back.frame_j == 3
     assert back.source is LoopSource.GENERIC_TEXT
-    assert back.relative_pose.is_close(constraint.relative_pose, tol=1e-12)
+    assert poses_close(back.relative_pose, constraint.relative_pose, tol=1e-12)
     assert np.allclose(back.information, constraint.information)
 
 
@@ -189,7 +190,7 @@ def test_id_revisit_emits_constraint():
     assert c.frame_i == 32 and c.frame_j == 0
     assert c.source is LoopSource.ID_TEXT
     # frames 0 and 32 share a world pose, so the loop transform is the identity
-    assert c.relative_pose.is_close(Pose.identity(), tol=1e-9)
+    assert poses_close(c.relative_pose, Pose.identity(), tol=1e-9)
     assert np.allclose(np.diag(c.information), [100.0] * 3 + [400.0] * 3, rtol=1e-12)
 
 
@@ -247,7 +248,7 @@ def test_generic_revisit_emits_single_constraint():
     c = constraints[0]
     assert c.frame_i == 34 and c.frame_j == 2
     assert c.source is LoopSource.GENERIC_TEXT
-    assert c.relative_pose.is_close(Pose.identity(), tol=1e-9)
+    assert poses_close(c.relative_pose, Pose.identity(), tol=1e-9)
     assert np.allclose(np.diag(c.information), [100.0] * 3 + [400.0] * 3, rtol=1e-12)
 
 
@@ -255,7 +256,7 @@ def test_generic_without_clouds_keeps_inflated_information():
     _, constraints = _run_square(_generic_events(["EXIT", "FIRE", "PULL"]), with_clouds=False)
     assert len(constraints) == 1
     c = constraints[0]
-    assert c.relative_pose.is_close(Pose.identity(), tol=1e-9)
+    assert poses_close(c.relative_pose, Pose.identity(), tol=1e-9)
     assert np.allclose(np.diag(c.information), [25.0] * 3 + [100.0] * 3, rtol=1e-12)
 
 
@@ -263,10 +264,6 @@ def test_generic_icp_gate_rejects_bad_geometry():
     events = _generic_events(["EXIT", "FIRE", "PULL"])
     _, constraints = _run_square(events, corrupt_frames=(2,))
     assert constraints == []
-    relaxed = DetectorParams(gate_generic_with_icp=False)
-    _, constraints = _run_square(events, corrupt_frames=(2,), params=relaxed)
-    assert len(constraints) == 1
-    assert np.allclose(np.diag(constraints[0].information), [25.0] * 3 + [100.0] * 3)
 
 
 def test_cooldown_matches_brute_force_for_any_insertion_order():
@@ -343,7 +340,7 @@ def test_candidate_within_icp_slack_reaches_icp(monkeypatch, contents, category)
     assert priors and all(params.max_offset < p <= params.max_offset + slack for p in priors)
     assert len(constraints) == 1
     assert (constraints[0].frame_i, constraints[0].frame_j) == (34, 2)
-    assert constraints[0].relative_pose.is_close(refined, tol=1e-12)
+    assert poses_close(constraints[0].relative_pose, refined, tol=1e-12)
 
 
 def test_cum_path_bit_equal_to_append_sequence():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 
-from helpers import random_pose
+from helpers import poses_close, random_pose
 from textloop.geometry import (
     _SMALL_ANGLE,
     NearPiRotation,
@@ -48,7 +48,7 @@ def test_from_odometry_structure():
     assert len(graph.edges) == 3
     for k, edge in enumerate(graph.edges):
         assert (edge.i, edge.j) == (k, k + 1)
-        assert edge.measured.is_close(poses[k].inverse() @ poses[k + 1], tol=1e-12)
+        assert poses_close(edge.measured, poses[k].inverse() @ poses[k + 1], tol=1e-12)
         assert np.allclose(np.diag(edge.information), [2500.0] * 3 + [40000.0] * 3)
 
 
@@ -112,7 +112,7 @@ def test_optimize_is_noop_without_loops():
     assert report.initial_cost < 1e-18
     assert report.converged
     for before, after in zip(poses, graph.nodes):
-        assert after.is_close(before, tol=1e-12)
+        assert poses_close(after, before, tol=1e-12)
 
 
 def test_two_node_weighted_mean():
@@ -176,7 +176,7 @@ def test_add_loop_uses_constraint_fields():
     graph.add_loop(constraint)
     edge = graph.edges[-1]
     assert (edge.i, edge.j) == (4, 1)
-    assert edge.measured.is_close(constraint.relative_pose, tol=1e-12)
+    assert poses_close(edge.measured, constraint.relative_pose, tol=1e-12)
     assert np.allclose(edge.information, constraint.information)
 
 
