@@ -145,6 +145,11 @@ class PipelineConfig:
                 if key not in merged[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
                 merged[section][key] = _coerce(section, key, value, DEFAULTS[section][key])
+        # a plane hypothesis is the plane through 3 sampled points
+        if merged["ransac"]["min_points"] < 3:
+            raise ConfigError(
+                f"[ransac] min_points must be at least 3, got {merged['ransac']['min_points']}"
+            )
         self.values = merged
 
     def __getitem__(self, section: str) -> dict:
@@ -225,12 +230,29 @@ def _env_overrides(environ=None) -> dict[str, dict]:
     return out
 
 
+def _syntax_error(exc: configparser.Error) -> str:
+    """The line and the fault of a malformed INI file, on one line."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: {exc.line.strip()!r} is not under a [section] header"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: key {exc.option!r} repeats in section [{exc.section}]"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: section [{exc.section}] repeats"
+    if isinstance(exc, configparser.ParsingError):
+        lineno, line = exc.errors[0]
+        return f"line {lineno}: cannot parse {line}"
+    return " ".join(str(exc).split())
+
+
 def load_config(path: str | None = None, environ=None) -> PipelineConfig:
     """Defaults <- INI file (if given) <- TEXTLOOP_SECTION__KEY env vars."""
     values: dict[str, dict] = {}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}, {_syntax_error(exc)}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():

@@ -29,6 +29,11 @@ from .geometry import (
 CONTENT_MIN_CONFIDENCE = 0.85
 CLOUD_WINDOW_SECONDS = 1.0
 STAMP_EPSILON = 1e-9
+# widening of a quad's bounding box, in pixels, before the polygon test
+QUAD_BOX_MARGIN = 1e-6
+# float64 values in one chunk of RANSAC point offsets, about 1 MB
+RANSAC_CHUNK_VALUES = 1 << 17
+_LOW_WORD = np.uint64(0xFFFFFFFF)
 
 
 class ExtractionError(ValueError):
@@ -187,14 +192,67 @@ def _points_in_polygon(uv: np.ndarray, polygon: np.ndarray) -> np.ndarray:
 def points_in_region(
     points_cam: np.ndarray, intrinsics: CameraIntrinsics, quad: np.ndarray
 ) -> np.ndarray:
-    """Subset of camera-frame points whose projection falls inside the quad."""
+    """Subset of camera-frame points whose projection falls inside the quad.
+
+    Only points inside the quad's bounding box, widened by QUAD_BOX_MARGIN,
+    reach the polygon test: no point outside it is inside the quad or within
+    the test's 1e-9 px boundary tolerance, as long as rounding at the quad's
+    pixel coordinates stays far below the margin (below about 1e9 px).  A
+    NaN corner crops nothing on its axis.  So the result is that of testing
+    every point.
+    """
     points_cam = np.asarray(points_cam, dtype=float).reshape(-1, 3)
     if not len(points_cam):
         return points_cam
+    quad = np.asarray(quad, dtype=float)
     uv, valid = project_array(intrinsics, points_cam)
-    keep = valid.copy()
-    keep[valid] = _points_in_polygon(uv[valid], np.asarray(quad, dtype=float))
-    return points_cam[keep]
+    lo = quad.min(axis=0) - QUAD_BOX_MARGIN
+    hi = quad.max(axis=0) + QUAD_BOX_MARGIN
+    outside = (uv < lo) | (uv > hi)
+    (near,) = np.nonzero(valid & ~(outside[:, 0] | outside[:, 1]))
+    return points_cam[near[_points_in_polygon(uv[near], quad)]]
+
+
+def _draw_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """(count, 3) indices, equal to count calls of rng.choice(n, size=3, replace=False).
+
+    Replays numpy's choice of 3 from n (3 <= n < 2**32 - 1).  Floyd's
+    algorithm draws bounded integers on [0, n - 3], [0, n - 2] and [0, n - 1]
+    (a bound of 0 draws nothing), and the shuffle then draws on [0, 2] and
+    [0, 1].  Each bounded draw is Lemire's method on one 32-bit word, taking
+    the next word while the word is rejected, so all words come from one
+    rng.integers call, topped up after a rejection.
+    """
+    bounds = ([n - 3] if n > 3 else []) + [n - 2, n - 1, 2, 1]
+    spans = np.tile(np.array(bounds, dtype=np.uint64) + np.uint64(1), count)
+    # Lemire rejects a word whose low product half is below 2**32 mod span
+    thresholds = np.uint64(2**32) % spans
+    draws = np.empty(len(spans), dtype=np.uint64)
+    filled = 0
+    while filled < len(spans):
+        words = rng.integers(0, 2**32, size=len(spans) - filled, dtype=np.uint32)
+        words = words.astype(np.uint64)
+        while len(words):
+            rows = slice(filled, filled + len(words))
+            product = words * spans[rows]
+            (rejected,) = np.nonzero((product & _LOW_WORD) < thresholds[rows])
+            keep = rejected[0] if len(rejected) else len(words)
+            draws[filled : filled + keep] = product[:keep] >> np.uint64(32)
+            filled += keep
+            words = words[keep + 1 :]
+    draws = draws.astype(np.intp).reshape(count, len(bounds))
+    first = draws[:, 0] if n > 3 else np.zeros(count, dtype=np.intp)
+    second, third, swap_2, swap_1 = draws[:, -4:].T
+    # Floyd: a value already taken is replaced by the bound itself
+    second = np.where(second == first, n - 2, second)
+    third = np.where((third == first) | (third == second), n - 1, third)
+    triples = np.column_stack([first, second, third])
+    rows = np.arange(count)
+    for slot, swap in ((2, swap_2), (1, swap_1)):
+        held = triples[rows, swap]
+        triples[rows, swap] = triples[:, slot]
+        triples[:, slot] = held
+    return triples
 
 
 def fit_plane_ransac(
@@ -202,33 +260,35 @@ def fit_plane_ransac(
 ) -> PlaneParams:
     """Plane through the dominant support of `points`, normal facing the origin.
 
+    Hypothesis h is the plane through the h-th of `iterations` triples drawn
+    as by rng.choice; the first hypothesis with the most inliers wins.  They
+    are scored in chunks, with the rounding of scoring one at a time.
     Raises TooFewPoints, DegenerateSample, or LowInlierRatio.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(points)
-    if n < params.min_points:
-        raise TooFewPoints(f"{n} points, need {params.min_points}")
+    if n < max(params.min_points, 3):
+        raise TooFewPoints(f"{n} points, need {max(params.min_points, 3)}")
     rng = np.random.default_rng(seed)
-    # one rng draw per hypothesis, in hypothesis order, keeps the seeded
-    # results; the triples are drawn up front so one np.cross gives every normal
-    triples = np.array(
-        [rng.choice(n, size=3, replace=False) for _ in range(params.iterations)], dtype=np.intp
-    ).reshape(-1, 3)
-    a, b, c = points[triples].transpose(1, 0, 2)
+    a, b, c = points[_draw_triples(rng, n, params.iterations)].transpose(1, 0, 2)
     normals = np.cross(b - a, c - a)
+    # a 1x3 by 3x1 matmul per row rounds like np.linalg.norm of that row
+    scales = np.sqrt(np.matmul(normals[:, None, :], normals[:, :, None]))[:, 0, 0]
+    (usable,) = np.nonzero(~(scales < 1e-12))
+    normals = normals[usable] / scales[usable, None]
     best_count = 0
     best_inliers = None
-    for h, normal in enumerate(normals):
-        scale = np.linalg.norm(normal)
-        if scale < 1e-12:
-            continue
-        normal /= scale
-        dist = np.abs((points - a[h]) @ normal)
+    chunk = max(1, RANSAC_CHUNK_VALUES // (3 * n))
+    for start in range(0, len(usable), chunk):
+        rows = slice(start, start + chunk)
+        offsets = points[None, :, :] - a[usable[rows], None, :]
+        dist = np.abs(np.matmul(offsets, normals[rows, :, None])[:, :, 0])
         inliers = dist <= params.inlier_threshold
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inliers
+        counts = inliers.sum(axis=1)
+        top = int(np.argmax(counts))
+        if counts[top] > best_count:
+            best_count = int(counts[top])
+            best_inliers = inliers[top]
     if best_inliers is None:
         raise DegenerateSample("all sampled triples were collinear")
     if best_count < params.min_points or best_count < params.min_inlier_ratio * n:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -137,6 +138,24 @@ def json_int(value) -> int:
     return value
 
 
+def json_float(value) -> float:
+    """A JSON number as a float; a boolean or a string is a TypeError, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{value} is out of float range") from exc
+
+
+def json_stamp(value) -> float:
+    """A timestamp: a json_float that is neither NaN nor infinite."""
+    stamp = json_float(value)
+    if not math.isfinite(stamp):
+        raise ValueError(f"expected a finite time, got {stamp!r}")
+    return stamp
+
+
 def parse_pose(obj: dict, line: int) -> Pose:
     try:
         return Pose.from_json(obj)
@@ -175,9 +194,9 @@ def parse_detections(payload: dict, line: int) -> list[TextDetection]:
             out.append(
                 TextDetection(
                     content=entry["text"],
-                    confidence=float(entry["conf"]),
+                    confidence=json_float(entry["conf"]),
                     quad=np.asarray(entry["quad"], dtype=float),
-                    timestamp=float(payload["t"]),
+                    timestamp=json_stamp(payload["t"]),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -221,7 +240,7 @@ def read_trajectory(path) -> tuple[list[float | None], list[Pose]]:
     for record in read_log(path, skip_clouds=True):
         payload, line = record.payload, record.line
         if record.kind == "odom":
-            t = parse_field(payload, "t", float, line)
+            t = parse_field(payload, "t", json_stamp, line)
         elif record.kind == "gt":
             t = None
         else:

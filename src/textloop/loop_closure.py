@@ -8,7 +8,9 @@ constraints between the two anchor frames.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -106,19 +108,17 @@ def relative_pose_from_entities(text_in_i: Pose, text_in_j: Pose) -> Pose:
 
 
 def icp_verify(
-    cloud_i: LocalCloud, cloud_j: LocalCloud, init: Pose, params: IcpParams = IcpParams()
+    target: cKDTree, source: np.ndarray, init: Pose, params: IcpParams = IcpParams()
 ) -> IcpResult:
-    """Point-to-point ICP aligning cloud_j onto cloud_i, seeded at `init`.
+    """Point-to-point ICP aligning the source points onto the target tree's points.
 
-    Returns the refined j-to-i pose with fitness (inlier fraction at the
-    correspondence cutoff) and inlier RMS.  Raises TooFewPoints when either
-    cloud is below params.min_points.
+    Seeded at the source-to-target pose `init`; returns the refined pose with
+    fitness (inlier fraction at the correspondence cutoff) and inlier RMS.
+    Raises TooFewPoints when either cloud is below params.min_points.
     """
-    target = cloud_i.points
-    source = cloud_j.points
-    if len(target) < params.min_points or len(source) < params.min_points:
-        raise TooFewPoints(f"clouds have {len(target)} and {len(source)} points")
-    tree = cKDTree(target)
+    points = target.data
+    if len(points) < params.min_points or len(source) < params.min_points:
+        raise TooFewPoints(f"clouds have {len(points)} and {len(source)} points")
     pose = init
     last_rms = np.inf
     fitness = 0.0
@@ -126,7 +126,7 @@ def icp_verify(
     converged = False
     for _ in range(params.max_iterations):
         moved = pose.apply(source)
-        dist, index = tree.query(moved, distance_upper_bound=params.max_correspondence)
+        dist, index = target.query(moved, distance_upper_bound=params.max_correspondence)
         matched = np.isfinite(dist)
         fitness = float(matched.sum()) / len(source)
         if matched.sum() < 3:
@@ -136,7 +136,7 @@ def icp_verify(
             converged = True
             break
         last_rms = rms
-        pose = kabsch(source[matched], target[index[matched]])
+        pose = kabsch(source[matched], points[index[matched]])
     accepted = converged and fitness >= params.min_fitness and rms <= params.max_rms
     return IcpResult(pose=pose, fitness=fitness, rms=rms, converged=converged, accepted=accepted)
 
@@ -210,13 +210,17 @@ def _information_matrix(params: DetectorParams, refined: bool) -> np.ndarray:
     return np.diag(diag)
 
 
-def _icp_between(state: DetectorState, frame_i: int, frame_j: int, init: Pose):
-    cloud_i = state.clouds.get(frame_i)
+def _cloud_tree(state: DetectorState, frame: int) -> cKDTree | None:
+    cloud = state.clouds.get(frame)
+    return None if cloud is None else cKDTree(cloud.points, balanced_tree=False)
+
+
+def _icp_between(state: DetectorState, target: cKDTree | None, frame_j: int, init: Pose):
     cloud_j = state.clouds.get(frame_j)
-    if cloud_i is None or cloud_j is None:
+    if target is None or cloud_j is None:
         return None
     try:
-        return icp_verify(cloud_i, cloud_j, init, state.params.icp)
+        return icp_verify(target, cloud_j.points, init, state.params.icp)
     except TooFewPoints:
         return None
 
@@ -239,16 +243,18 @@ def _close_loop(
     obs: Observation,
     prior: Pose,
     source: LoopSource,
+    target: Callable[[], cKDTree | None],
 ) -> LoopConstraint | None:
     """Verify one candidate pair with ICP seeded at the entity-derived `prior`.
 
+    target() is the tree over the frame's cloud, None when it has no cloud.
     A pair ICP rejects is dropped.  When ICP cannot run (a missing or sparse
     cloud) an ID pair is dropped too, while a generic pair, already verified
     by association, keeps the prior with inflated uncertainty.  Otherwise the
     constraint carries the ICP pose.  Either way its translation must stay
     within max_offset.
     """
-    icp = _icp_between(state, frame, obs.frame, prior)
+    icp = _icp_between(state, target(), obs.frame, prior)
     if icp is not None and not icp.accepted:
         return None
     # content alone cannot distinguish repeated installations of one sign,
@@ -296,6 +302,9 @@ def process_frame(
     params = state.params
     max_prior_offset = params.max_offset + params.icp.max_correspondence
     map_c: Ltem | None = None
+    # every candidate's ICP targets this frame's cloud: one tree, built at the
+    # first ICP and dropped on return
+    target = functools.cache(lambda: _cloud_tree(state, frame))
     constraints: list[LoopConstraint] = []
     done_pairs: set[tuple[int, int]] = set()
     for entity, obs in candidates:
@@ -306,7 +315,7 @@ def process_frame(
         if float(np.linalg.norm(prior.translation)) > max_prior_offset:
             continue
         if entity.category is TextCategory.ID:
-            constraint = _close_loop(state, frame, obs, prior, LoopSource.ID_TEXT)
+            constraint = _close_loop(state, frame, obs, prior, LoopSource.ID_TEXT, target)
         else:
             if map_c is None:
                 map_c = build_ltem(
@@ -330,7 +339,7 @@ def process_frame(
             )
             if match is None:
                 continue
-            constraint = _close_loop(state, frame, obs, prior, LoopSource.GENERIC_TEXT)
+            constraint = _close_loop(state, frame, obs, prior, LoopSource.GENERIC_TEXT, target)
         if constraint is None:
             continue
         constraints.append(constraint)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from textloop.cli import main
 from textloop.config import DEFAULTS, ConfigError, PipelineConfig, load_config
 from textloop.loop_closure import DetectorParams
 
@@ -99,3 +100,40 @@ def test_readme_table_lists_every_config_key():
         names = re.findall(r"`([^`]*)`", keys)
         documented[section] = sorted(n.strip() for name in names for n in name.split(","))
     assert documented == {section: sorted(keys) for section, keys in DEFAULTS.items()}
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("[detect\ns_min = 12.5\n", "line 1: '[detect' is not under a [section] header"),
+        ("s_min = 12.5\n", "line 1: 's_min = 12.5' is not under a [section] header"),
+        ("[detect]\ns_min = 1\ns_min = 2\n", "line 3: key 's_min' repeats in section [detect]"),
+        ("[detect]\ns_min = 1\n[detect]\nwindow = 1\n", "line 3: section [detect] repeats"),
+        ("[detect]\ns_min = 1\nwindow\n", "line 3: cannot parse 'window\\n'"),
+    ],
+    ids=["unclosed-header", "no-header", "repeated-key", "repeated-section", "no-value"],
+)
+def test_malformed_ini_exits_2_with_one_error_line(text, detail, tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}, {detail}")):
+        load_config(str(path), environ={})
+    commands = [
+        ["simulate", "--out", str(tmp_path / "run")],
+        ["detect", "--log", str(tmp_path / "log.jsonl"), "--out", str(tmp_path / "loops")],
+    ]
+    for argv in commands:
+        assert main(argv + ["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}, {detail}\n"
+
+
+def test_ransac_min_points_below_three_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"\[ransac\] min_points must be at least 3, got 2"):
+        PipelineConfig({"ransac": {"min_points": 2}})
+    assert PipelineConfig({"ransac": {"min_points": 3}}).extraction_params().ransac.min_points == 3
+    path = tmp_path / "run.ini"
+    path.write_text("[ransac]\nmin_points = 0\n")
+    argv = ["detect", "--log", str(tmp_path / "log.jsonl"), "--out", str(tmp_path / "loops")]
+    assert main(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: [ransac] min_points must be at least 3, got 0\n"

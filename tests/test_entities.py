@@ -30,7 +30,7 @@ from textloop.entities import (
     points_in_region,
     pose_at_image_time,
 )
-from textloop.geometry import CameraIntrinsics, PlaneParams, Pose, project
+from textloop.geometry import CameraIntrinsics, PlaneParams, Pose, project, project_array
 
 K100 = CameraIntrinsics(fx=100.0, fy=100.0, cx=0.0, cy=0.0)
 # classification runs on normalized (uppercased) content
@@ -315,7 +315,7 @@ def test_extract_entities_unbracketed_timestamp():
 
 
 def _ransac_oracle(points, seed, params=RansacParams()):
-    """fit_plane_ransac with one np.cross per hypothesis, as first written."""
+    """fit_plane_ransac scoring one hypothesis at a time: one rng.choice and one np.cross each."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(points)
     if n < params.min_points:
@@ -366,8 +366,22 @@ def _noisy_plane(rng, count, sigma):
     return center + coords @ basis + rng.normal(scale=sigma, size=(count, 1)) * normal
 
 
-def test_fit_plane_ransac_matches_per_hypothesis_oracle():
-    rng = np.random.default_rng(2024)
+@pytest.mark.parametrize("n", [3, 4, 20, 21, 333, 1499, 9000, 2**31 + 11])
+def test_draw_triples_replays_rng_choice(n):
+    # near 2**31 about half of the bounded draws reject their first word
+    for seed in range(2000):
+        count = seed % 9
+        expected_rng = np.random.default_rng([seed, n % 1000])
+        got_rng = np.random.default_rng([seed, n % 1000])
+        expected = [expected_rng.choice(n, size=3, replace=False) for _ in range(count)]
+        got = entities_module._draw_triples(got_rng, n, count)
+        assert got.shape == (count, 3)
+        assert got.tolist() == np.reshape(expected, (count, 3)).tolist(), seed
+        # both read the same words from the stream
+        assert got_rng.integers(2**32) == expected_rng.integers(2**32), seed
+
+
+def _ransac_clouds(rng):
     clouds = []
     for _ in range(40):
         # noisy planes straddling the inlier threshold
@@ -380,19 +394,150 @@ def test_fit_plane_ransac_matches_per_hypothesis_oracle():
         # collinear runs make degenerate triples likely
         line = np.linspace(0.0, 1.0, int(rng.integers(15, 40)))[:, None] * rng.normal(size=3)
         clouds.append(np.vstack([line, _noisy_plane(rng, int(rng.integers(5, 30)), 0.0)]))
+    for _ in range(10):
+        # two planes of equal size tie; the first hypothesis with the most inliers wins
+        size = int(rng.integers(30, 300))
+        sigma = float(rng.choice([0.0, 0.01]))
+        clouds.append(np.vstack([_noisy_plane(rng, size, sigma), _noisy_plane(rng, size, sigma)]))
+        # repeated points make repeated hypotheses and zero normals
+        base = _noisy_plane(rng, int(rng.integers(3, 12)), 0.0)
+        clouds.append(base[rng.integers(0, len(base), size=int(rng.integers(20, 80)))])
+    clouds.append(_noisy_plane(rng, 1500, 0.01))
     clouds.append(np.column_stack([np.linspace(0, 1, 30), np.zeros(30), np.full(30, 5.0)]))
     clouds.append(np.zeros((10, 3)))
+    return clouds
+
+
+def test_fit_plane_ransac_matches_per_hypothesis_oracle(monkeypatch):
+    rng = np.random.default_rng(2024)
     param_sets = [RansacParams(), RansacParams(iterations=7), RansacParams(iterations=0)]
+    # 1 scores one hypothesis per chunk, 300 a few per chunk
+    chunk_sizes = [1, 300, entities_module.RANSAC_CHUNK_VALUES]
     outcomes = set()
-    for index, cloud in enumerate(clouds):
+    for index, cloud in enumerate(_ransac_clouds(rng)):
         for params in param_sets:
             seed = [int(rng.integers(0, 1000)), index]
             expected = _ransac_outcome(_ransac_oracle, cloud, seed, params)
-            got = _ransac_outcome(fit_plane_ransac, cloud, seed, params)
-            # == on the floats: the same hypotheses must win with the same bits
-            assert got == expected, (index, params)
+            for chunk_values in chunk_sizes:
+                monkeypatch.setattr(entities_module, "RANSAC_CHUNK_VALUES", chunk_values)
+                got = _ransac_outcome(fit_plane_ransac, cloud, seed, params)
+                # == on the floats: the same hypotheses must win with the same bits
+                assert got == expected, (index, params, chunk_values)
             outcomes.add(expected if isinstance(expected, type) else PlaneParams)
     assert outcomes == {PlaneParams, TooFewPoints, DegenerateSample, LowInlierRatio}
+
+
+def _hypothesis_distances(points, seed, iterations):
+    """Each hypothesis's point distances, computed as the oracle computes them."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(iterations):
+        a, b, c = points[rng.choice(len(points), size=3, replace=False)]
+        normal = np.cross(b - a, c - a)
+        rows.append(np.abs((points - a) @ (normal / np.linalg.norm(normal))))
+    return rows
+
+
+def test_fit_plane_ransac_rounds_like_one_hypothesis_at_a_time():
+    # with the threshold equal to a distance of one hypothesis, a distance or
+    # a normal that rounds one ulp off moves that point out of the support
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        cloud = _noisy_plane(rng, int(rng.integers(20, 400)), 0.05)
+        iterations = int(rng.integers(1, 6))
+        seed = [trial, 5]
+        rows = _hypothesis_distances(cloud, seed, iterations)
+        row = rows[int(rng.integers(0, iterations))]
+        for threshold in np.sort(row)[[len(row) // 4, len(row) // 2, -1]]:
+            params = RansacParams(
+                iterations=iterations,
+                inlier_threshold=float(threshold),
+                min_points=3,
+                min_inlier_ratio=0.0,
+            )
+            expected = _ransac_outcome(_ransac_oracle, cloud, seed, params)
+            assert _ransac_outcome(fit_plane_ransac, cloud, seed, params) == expected, trial
+
+
+def test_fit_plane_ransac_at_min_points_matches_oracle():
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for min_points in (3, 4, 5, 20):
+        params = RansacParams(min_points=min_points, min_inlier_ratio=0.0)
+        for trial in range(30):
+            cloud = _noisy_plane(rng, min_points, float(rng.choice([0.0, 0.05])))
+            if trial % 3 == 0:
+                cloud[-1] = cloud[0]
+            seed = [trial, min_points]
+            expected = _ransac_outcome(_ransac_oracle, cloud, seed, params)
+            assert _ransac_outcome(fit_plane_ransac, cloud, seed, params) == expected
+            assert _ransac_outcome(fit_plane_ransac, cloud[:-1], seed, params) is TooFewPoints
+            outcomes.add(expected if isinstance(expected, type) else PlaneParams)
+    assert PlaneParams in outcomes
+
+
+def test_fit_plane_ransac_needs_three_points():
+    params = RansacParams(min_points=1)
+    for n in (0, 1, 2):
+        with pytest.raises(TooFewPoints, match="need 3"):
+            fit_plane_ransac(np.ones((n, 3)), seed=0, params=params)
+
+
+def _region_oracle(points_cam, intrinsics, quad):
+    """points_in_region without the bounding-box crop: every valid point is tested."""
+    points_cam = np.asarray(points_cam, dtype=float).reshape(-1, 3)
+    uv, valid = project_array(intrinsics, points_cam)
+    keep = valid.copy()
+    keep[valid] = entities_module._points_in_polygon(uv[valid], np.asarray(quad, dtype=float))
+    return points_cam[keep]
+
+
+def _around_quad(rng, quad, depth):
+    """Pixels on the quad's corners and edges, just off them, and scattered around it."""
+    uv = [quad]
+    for k in range(4):
+        a, b = quad[k], quad[(k + 1) % 4]
+        s = rng.uniform(0.0, 1.0, size=(20, 1))
+        on_edge = a + s * (b - a)
+        uv += [on_edge, on_edge + 1e-10, on_edge - 1e-10, on_edge + 1e-7, on_edge - 1e-7]
+    lo, hi = quad.min(axis=0), quad.max(axis=0)
+    uv += [lo - 1e-6, hi + 1e-6, lo - 2e-6, hi + 2e-6, [[lo[0], hi[1]], [hi[0], lo[1]]]]
+    uv.append(rng.uniform(lo - 5.0, hi + 5.0, size=(300, 2)))
+    uv = np.vstack(uv)
+    return uv, np.full(len(uv), depth)
+
+
+@pytest.mark.parametrize(
+    "quad",
+    [
+        [[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]],
+        [[310.25, 200.5], [402.75, 207.125], [398.5, 260.0], [305.0, 251.75]],
+        [[1.0, 1.0], [3.0, 0.5], [2.0, 3.0], [2.5, 1.2]],  # not convex
+        [[320.0, 240.0]] * 4,  # zero area, one point
+        [[300.0, 240.0], [340.0, 240.0], [340.0, 240.0], [300.0, 240.0]],  # zero area, a segment
+        [[1.0, 1.0], [np.nan, 2.0], [3.0, 3.0], [0.0, 3.0]],
+    ],
+    ids=["square", "skewed", "concave", "point", "segment", "nan-corner"],
+)
+@pytest.mark.parametrize("fx, cx", [(1.0, 0.0), (350.0, 320.0)])
+def test_points_in_region_equals_uncropped_test(quad, fx, cx):
+    intrinsics = CameraIntrinsics(fx=fx, fy=fx, cx=cx, cy=0.75 * cx)
+    quad = np.array(quad)
+    rng = np.random.default_rng(31)
+    uv, depth = _around_quad(rng, np.nan_to_num(quad, nan=2.0), 4.0)
+    in_front = np.column_stack(
+        [(uv[:, 0] - cx) * depth / fx, (uv[:, 1] - 0.75 * cx) * depth / fx, depth]
+    )
+    # the same rays behind the camera, and points on the image plane
+    behind = in_front * [1.0, 1.0, -1.0]
+    flat = in_front * [1.0, 1.0, 0.0]
+    points = np.vstack([in_front, behind, flat])
+    kept = points_in_region(points, intrinsics, quad)
+    expected = _region_oracle(points, intrinsics, quad)
+    assert kept.tobytes() == expected.tobytes()
+    if np.ptp(quad, axis=0).min() > 0 and np.isfinite(quad).all():
+        # the oracle keeps points on the boundary, so the test has some
+        assert len(expected) > 20
 
 
 def test_extract_entities_window_matches_full_scan(monkeypatch):

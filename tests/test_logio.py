@@ -15,6 +15,8 @@ from textloop.logio import (
     calib_record,
     cloud_record,
     gt_record,
+    json_float,
+    json_stamp,
     odom_record,
     parse_calib,
     parse_cloud,
@@ -369,6 +371,9 @@ def test_log_feeds_detect_the_bits_of_a_json_round_trip(corridor_lap, corridor_l
         ("odom", "frame", True),
         ("gt", "frame", 1.9),
         ("gt", "frame", True),
+        ("odom", "t", True),
+        ("odom", "t", float("nan")),
+        ("odom", "t", "0.1"),
     ],
     ids=[
         "odom-frame",
@@ -378,6 +383,9 @@ def test_log_feeds_detect_the_bits_of_a_json_round_trip(corridor_lap, corridor_l
         "odom-frame-bool",
         "gt-frame-float",
         "gt-frame-bool",
+        "odom-t-bool",
+        "odom-t-nan",
+        "odom-t-string",
     ],
 )
 def test_non_numeric_trajectory_field_exits_2(kind, key, value, tmp_path, capsys):
@@ -428,3 +436,62 @@ def test_bad_calib_intrinsics_exit_2(intrinsics, detail, tmp_path, capsys):
     write_log(path, [record])
     assert main(["detect", "--log", str(path), "--out", str(tmp_path / "loops.jsonl")]) == 2
     assert "error: line 1: bad intrinsics" in capsys.readouterr().err
+
+
+def test_json_float_takes_json_numbers_only():
+    assert json_float(2) == 2.0 and isinstance(json_float(2), float)
+    assert json_float(-0.25) == -0.25
+    assert np.isnan(json_float(float("nan")))
+    assert json_float(float("-inf")) == float("-inf")
+    for value in (True, False, "1.5", None, [1.0]):
+        with pytest.raises(TypeError):
+            json_float(value)
+    with pytest.raises(ValueError):
+        json_float(10**400)
+
+
+def test_json_stamp_is_finite():
+    assert json_stamp(0) == 0.0
+    assert json_stamp(12.5) == 12.5
+    for value in (float("nan"), float("inf"), float("-inf"), 10**400):
+        with pytest.raises(ValueError):
+            json_stamp(value)
+    with pytest.raises(TypeError):
+        json_stamp(True)
+
+
+def _sensor_log(tmp_path, key_path, value):
+    """A two-frame sensor log with one texts record; key_path names the field to overwrite."""
+    pose, points = Pose.identity(), np.zeros((1, 3))
+    quad = np.array([[10.0, 20.0], [40.0, 21.0], [41.0, 35.0], [11.0, 34.0]])
+    records = [calib_record(default_rig())]
+    for k in (0, 1):
+        records += [odom_record(0.1 * k, k, pose), cloud_record(k, points)]
+    records.append(texts_record(0.05, [TextDetection("EXIT", 0.93, quad, 0.05)]))
+    line, *keys = key_path
+    target = records[line - 1]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "log.jsonl"
+    write_log(path, records)
+    return str(path)
+
+
+@pytest.mark.parametrize("value", [True, float("nan"), float("inf"), "0.1"])
+@pytest.mark.parametrize(
+    "key_path, message",
+    [((4, "t"), "line 4: bad t value"), ((6, "t"), "line 6: bad t value")],
+    ids=["odom", "texts"],
+)
+def test_bad_sensor_stamp_exits_2(key_path, message, value, tmp_path, capsys):
+    path = _sensor_log(tmp_path, key_path, value)
+    assert main(["detect", "--log", path, "--out", str(tmp_path / "loops.jsonl")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, "0.93", None])
+def test_bad_detection_confidence_exits_2(value, tmp_path, capsys):
+    path = _sensor_log(tmp_path, (6, "detections", 0, "conf"), value)
+    assert main(["detect", "--log", path, "--out", str(tmp_path / "loops.jsonl")]) == 2
+    assert "error: line 6: bad detection entry" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from helpers import poses_close
 from textloop import loop_closure
@@ -11,7 +12,6 @@ from textloop.loop_closure import (
     DetectorParams,
     DetectorState,
     IcpResult,
-    LocalCloud,
     LoopConstraint,
     LoopSource,
     icp_verify,
@@ -94,7 +94,7 @@ def _run_square(events, with_clouds=True, params=None, laps=2, corrupt_frames=()
 
 def test_icp_identical_clouds():
     cloud = _grid_cloud()
-    result = icp_verify(LocalCloud(0, cloud), LocalCloud(1, cloud), Pose.identity())
+    result = icp_verify(cKDTree(cloud), cloud, Pose.identity())
     assert result.converged
     assert result.accepted
     assert result.fitness == 1.0
@@ -105,8 +105,8 @@ def test_icp_identical_clouds():
 def test_icp_recovers_known_transform():
     world = _grid_cloud()
     pose_j = _yaw_pose(0.5, [2.0, 1.0, 0.3])
-    target = LocalCloud(0, world)
-    source = LocalCloud(1, pose_j.inverse().apply(world))
+    target = cKDTree(world)
+    source = pose_j.inverse().apply(world)
     # perturb the seed well inside the 0.5 m correspondence radius
     delta = exp_map(np.array([0.08, -0.05, 0.02, 0.0, 0.0, 0.03]))
     result = icp_verify(target, source, delta @ pose_j)
@@ -118,9 +118,7 @@ def test_icp_recovers_known_transform():
 
 def test_icp_rejects_disjoint_clouds():
     world = _grid_cloud()
-    result = icp_verify(
-        LocalCloud(0, world), LocalCloud(1, world + np.array([50.0, 0.0, 0.0])), Pose.identity()
-    )
+    result = icp_verify(cKDTree(world), world + np.array([50.0, 0.0, 0.0]), Pose.identity())
     assert not result.accepted
     assert result.fitness == 0.0
 
@@ -128,7 +126,7 @@ def test_icp_rejects_disjoint_clouds():
 def test_icp_fitness_gate():
     world = _grid_cloud()
     source = np.vstack([world, world + np.array([100.0, 0.0, 0.0])])
-    result = icp_verify(LocalCloud(0, world), LocalCloud(1, source), Pose.identity())
+    result = icp_verify(cKDTree(world), source, Pose.identity())
     assert result.converged
     assert abs(result.fitness - 0.5) < 1e-12
     assert result.rms < 1e-12
@@ -138,7 +136,29 @@ def test_icp_fitness_gate():
 def test_icp_too_few_points():
     small = _grid_cloud()[:10]
     with pytest.raises(TooFewPoints):
-        icp_verify(LocalCloud(0, small), LocalCloud(1, small), Pose.identity())
+        icp_verify(cKDTree(small), small, Pose.identity())
+
+
+def test_frame_candidates_share_one_target_tree(monkeypatch):
+    built, targets = [], []
+
+    def counting_tree(points, **kwargs):
+        built.append(len(points))
+        return cKDTree(points, **kwargs)
+
+    def recording_icp(target, source, init, icp_params):
+        targets.append(target)
+        return icp_verify(target, source, init, icp_params)
+
+    monkeypatch.setattr(loop_closure, "cKDTree", counting_tree)
+    monkeypatch.setattr(loop_closure, "icp_verify", recording_icp)
+    sign = _yaw_pose(1.0, [1.0, 2.0, 1.0])
+    events = {f: [("A1-R01", TextCategory.ID, sign)] for f in (1, 2, 34)}
+    # frame 1's cloud is off by 50 m, so ICP rejects (34, 1) and (34, 2) runs too
+    _, constraints = _run_square(events, corrupt_frames=(1,))
+    assert [(c.frame_i, c.frame_j) for c in constraints] == [(34, 2)]
+    assert len(targets) == 2 and targets[0] is targets[1]
+    assert built == [len(_grid_cloud())]
 
 
 def test_relative_pose_from_entities():
@@ -325,7 +345,7 @@ def test_candidate_within_icp_slack_reaches_icp(monkeypatch, contents, category)
     refined = _yaw_pose(0.0, [1.0, 0.0, 0.0])
     priors = []
 
-    def accepting_icp(cloud_i, cloud_j, init, icp_params):
+    def accepting_icp(target, source, init, icp_params):
         priors.append(float(np.linalg.norm(init.translation)))
         return IcpResult(pose=refined, fitness=1.0, rms=0.0, converged=True, accepted=True)
 

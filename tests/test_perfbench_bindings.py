@@ -69,3 +69,24 @@ def test_stage_builds_and_reads_the_detector(monkeypatch):
     assert len(run.state.db) > 0
     assert len(run.state.clouds) == len(result.stamps)
     assert sum(len(c.points) for c in run.state.clouds.values()) > 0
+
+
+def test_in_memory_replay_records_every_detect_layer():
+    # a layer inlined into its caller would leave its per-layer row at zero
+    config = load_config(None, environ={})
+    route = default_route("corridor", laps=2)
+    result = simulate(build_world("corridor", seed=1), route, config.rig(), seed=1)
+    tracer = spans.Tracer().install()
+    try:
+        run = cli.run_detector(result, config)
+    finally:
+        tracer.uninstall()
+    assert run.constraints
+    for name in (
+        "entities.fit_plane_ransac",
+        "entities.points_in_region",
+        "entities.accumulate_local_cloud",
+        "loop_closure.icp_verify",
+    ):
+        assert tracer.counts[name + ".calls"] > 0, name
+        assert any(span[2] == name for span in tracer.spans), name
