@@ -23,8 +23,8 @@ from .evaluation import LengthMismatch, label_loop_poses, make_report
 from .geometry import GeometryError
 from .logio import (
     LogFormatError,
+    json_finite,
     json_int,
-    json_stamp,
     odom_record,
     parse_calib,
     parse_cloud,
@@ -242,7 +242,7 @@ def cmd_detect(args) -> int:
         elif run is None:
             raise LogFormatError(f"line {record.line}: first record must be calib")
         elif record.kind == "odom":
-            t = parse_field(payload, "t", json_stamp, record.line)
+            t = parse_field(payload, "t", json_finite, record.line)
             frame = parse_field(payload, "frame", json_int, record.line)
             pose = parse_pose(payload["pose"], record.line)
             try:
@@ -254,7 +254,7 @@ def cmd_detect(args) -> int:
             run.on_cloud(parse_field(payload, "frame", json_int, record.line), points)
         elif record.kind == "texts":
             run.on_texts(
-                parse_field(payload, "t", json_stamp, record.line),
+                parse_field(payload, "t", json_finite, record.line),
                 parse_detections(payload, record.line),
             )
         elif record.kind == "gt":

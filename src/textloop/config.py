@@ -20,7 +20,7 @@ from .association import AssociationParams
 from .entities import CalibratedRig, ExtractionParams, RansacParams
 from .geometry import CameraIntrinsics, Pose
 from .loop_closure import DetectorParams, IcpParams
-from .simulator import NoiseModel
+from .simulator import CAMERA_OFFSET, NoiseModel
 
 ENV_PREFIX = "TEXTLOOP_"
 
@@ -149,6 +149,15 @@ class PipelineConfig:
         if merged["ransac"]["min_points"] < 3:
             raise ConfigError(
                 f"[ransac] min_points must be at least 3, got {merged['ransac']['min_points']}"
+            )
+        # each image is stamped CAMERA_OFFSET after its frame and must come
+        # before the next one; at 1 / CAMERA_OFFSET (20 Hz) rounding already
+        # puts some stamps past it
+        rate = merged["sim"]["rate"]
+        if not 0.0 < rate < 1.0 / CAMERA_OFFSET:
+            raise ConfigError(
+                f"[sim] rate must lie strictly between 0 and {1.0 / CAMERA_OFFSET:g} Hz, so that "
+                f"each image, {CAMERA_OFFSET} s after its frame, comes before the next; got {rate}"
             )
         self.values = merged
 

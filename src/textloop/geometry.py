@@ -45,89 +45,15 @@ class NearPiRotation(GeometryError):
     """Rotation angle too close to pi for a single-valued logarithm."""
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
-
-
-def _so3_exp(theta: np.ndarray) -> np.ndarray:
-    """Rodrigues formula, with series expansions below _SMALL_ANGLE."""
-    angle = float(np.linalg.norm(theta))
-    k = _skew(theta)
-    if angle < _SMALL_ANGLE:
-        a = 1.0 - angle**2 / 6.0 + angle**4 / 120.0
-        b = 0.5 - angle**2 / 24.0 + angle**4 / 720.0
-    else:
-        a = np.sin(angle) / angle
-        b = (1.0 - np.cos(angle)) / angle**2
-    return np.eye(3) + a * k + b * (k @ k)
-
-
-def _so3_log(rot: np.ndarray) -> np.ndarray:
-    """Inverse of _so3_exp.  Raises NearPiRotation within NEAR_PI_EPSILON of pi."""
-    cos_angle = float(np.clip((np.trace(rot) - 1.0) * 0.5, -1.0, 1.0))
-    angle = float(np.arccos(cos_angle))
-    if np.pi - angle < NEAR_PI_EPSILON:
-        raise NearPiRotation(f"rotation angle {angle!r} within {NEAR_PI_EPSILON} of pi")
-    vee = np.array(
-        [rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]]
-    )
-    if angle < _SMALL_ANGLE:
-        # theta / (2 sin(theta)) expanded around zero
-        return 0.5 * (1.0 + angle**2 / 6.0 + 7.0 * angle**4 / 360.0) * vee
-    if np.pi - angle < 1e-3:
-        # sin(angle) is tiny; recover the axis from the symmetric part instead
-        sym = 0.5 * (rot + rot.T)
-        outer = (sym - np.eye(3)) / (1.0 - cos_angle) + np.eye(3)
-        pivot = int(np.argmax(np.diag(outer)))
-        axis = outer[:, pivot] / np.sqrt(outer[pivot, pivot])
-        if np.dot(axis, vee) < 0.0:
-            axis = -axis
-        return angle * axis
-    return (0.5 * angle / np.sin(angle)) * vee
-
-
-def _v_matrix(theta: np.ndarray) -> np.ndarray:
-    """Integrates rotation over a unit twist; couples rho into translation."""
-    angle = float(np.linalg.norm(theta))
-    k = _skew(theta)
-    if angle < _SMALL_ANGLE:
-        b = 0.5 - angle**2 / 24.0 + angle**4 / 720.0
-        c = 1.0 / 6.0 - angle**2 / 120.0 + angle**4 / 5040.0
-    else:
-        b = (1.0 - np.cos(angle)) / angle**2
-        c = (angle - np.sin(angle)) / angle**3
-    return np.eye(3) + b * k + c * (k @ k)
-
-
-def _v_matrix_inverse(theta: np.ndarray) -> np.ndarray:
-    angle = float(np.linalg.norm(theta))
-    k = _skew(theta)
-    if angle < _SMALL_ANGLE:
-        g = 1.0 / 12.0 + angle**2 / 720.0 + angle**4 / 30240.0
-    else:
-        half = 0.5 * angle
-        g = (1.0 - half * np.cos(half) / np.sin(half)) / angle**2
-    return np.eye(3) - 0.5 * k + g * (k @ k)
-
-
-# Stacked twins of the functions above, for (..., 3) and (..., 3, 3) inputs.
-# Each row gets the same bits as the one-row function: they repeat its
-# operations in its order and memory layout, with three substitutions that
-# numpy needs for that.  The row norm is sqrt(v @ v), because
+# The SO(3) and V-matrix functions below take (..., 3) and (..., 3, 3)
+# inputs; a single rotation or twist goes through them with a leading row
+# axis.  Each row gets the bits of the one-row closed forms (frozen in
+# tests/one_row_lie.py as the oracle), which takes three choices that numpy
+# would otherwise make differently.  The row norm is sqrt(v @ v), because
 # np.linalg.norm(axis=-1) rounds differently from the 1-D norm; powers use
 # np.float_power, because array ** takes a SIMD pow that rounds differently
 # from Python's float **; and each branch runs on its own rows only, so no
 # row divides by a zero angle.
-# The one-row functions stay for the per-frame callers (simulate,
-# interpolate): a stacked call on one row costs about 3x more (39 vs 13 us
-# for the rotation exponential, 55 vs 15 us for the logarithm, measured on
-# a 2-vCPU VM).
 
 _pow = np.float_power
 
@@ -148,15 +74,20 @@ def _skew_stacked(v: np.ndarray) -> np.ndarray:
 
 
 def _by_angle(angle: np.ndarray, series, closed) -> list[np.ndarray]:
-    """Coefficients per row: series(angle) below _SMALL_ANGLE, closed(angle) from it on."""
+    """Coefficients per row: series(angle) below _SMALL_ANGLE, closed(angle) from it on.
+
+    A branch with no rows is not evaluated; input with no rows at all runs series.
+    """
     low = angle < _SMALL_ANGLE
-    coeffs = []
-    for below, above in zip(series(angle[low]), closed(angle[~low])):
-        c = np.empty(angle.shape)
-        c[low] = below
-        c[~low] = above
-        coeffs.append(c[..., None, None])
-    return coeffs
+    branches = [(rows, f) for rows, f in ((low, series), (~low, closed)) if rows.any()]
+    coeffs = None
+    for rows, formula in branches or [(low, series)]:
+        values = formula(angle[rows])
+        if coeffs is None:
+            coeffs = [np.empty(angle.shape) for _ in values]
+        for c, v in zip(coeffs, values):
+            c[rows] = v
+    return [c[..., None, None] for c in coeffs]
 
 
 def _so3_exp_stacked(theta: np.ndarray) -> np.ndarray:
@@ -172,8 +103,27 @@ def _so3_exp_stacked(theta: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * k + b * (k @ k)
 
 
+def _so3_log_near_pi(rot: np.ndarray, vee: np.ndarray) -> np.ndarray:
+    """Rotation vector of one rotation within 1e-3 of pi, where sin(angle) is tiny.
+
+    The axis comes from the symmetric part instead.  Raises NearPiRotation
+    within NEAR_PI_EPSILON of pi.
+    """
+    cos_angle = float(np.clip((np.trace(rot) - 1.0) * 0.5, -1.0, 1.0))
+    angle = float(np.arccos(cos_angle))
+    if np.pi - angle < NEAR_PI_EPSILON:
+        raise NearPiRotation(f"rotation angle {angle!r} within {NEAR_PI_EPSILON} of pi")
+    sym = 0.5 * (rot + rot.T)
+    outer = (sym - np.eye(3)) / (1.0 - cos_angle) + np.eye(3)
+    pivot = int(np.argmax(np.diag(outer)))
+    axis = outer[:, pivot] / np.sqrt(outer[pivot, pivot])
+    if np.dot(axis, vee) < 0.0:
+        axis = -axis
+    return angle * axis
+
+
 def _so3_log_stacked(rot: np.ndarray) -> np.ndarray:
-    """Rows within 1e-3 of pi go through _so3_log, which raises for the first one too close."""
+    """Rows within 1e-3 of pi go through _so3_log_near_pi, one at a time in C order."""
     cos_angle = np.clip((np.trace(rot, axis1=-2, axis2=-1) - 1.0) * 0.5, -1.0, 1.0)
     angle = np.arccos(cos_angle)
     vee = np.stack(
@@ -192,8 +142,9 @@ def _so3_log_stacked(rot: np.ndarray) -> np.ndarray:
     out[low] = (0.5 * (1.0 + _pow(x, 2) / 6.0 + 7.0 * _pow(x, 4) / 360.0))[..., None] * vee[low]
     x = angle[mid]
     out[mid] = (0.5 * x / np.sin(x))[..., None] * vee[mid]
-    for index in zip(*np.nonzero(near)):
-        out[index] = _so3_log(rot[index])
+    # argwhere, unlike nonzero, also walks a bare (3, 3) input with no row axis
+    for index in map(tuple, np.argwhere(near)):
+        out[index] = _so3_log_near_pi(rot[index], vee[index])
     return out
 
 
@@ -268,6 +219,12 @@ class Pose:
     @classmethod
     def from_json(cls, obj: dict) -> "Pose":
         return cls(quaternion_to_rotation(np.asarray(obj["q"], dtype=float)), obj["t"])
+
+
+def stack_poses(poses) -> tuple[np.ndarray, np.ndarray]:
+    """(rotations (N, 3, 3), translations (N, 3)) of a sequence of poses."""
+    rotations = np.array([p.rotation for p in poses]).reshape(-1, 3, 3)
+    return rotations, np.array([p.translation for p in poses]).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -369,16 +326,13 @@ def backproject(
 
 def exp_map(xi: np.ndarray) -> Pose:
     """Exponential map from a [rho, theta] twist to a Pose."""
-    xi = np.asarray(xi, dtype=float).reshape(6)
-    rho, theta = xi[:3], xi[3:]
-    return Pose(_so3_exp(theta), _v_matrix(theta) @ rho)
+    rotations, translations = exp_map_stacked(np.asarray(xi, dtype=float).reshape(1, 6))
+    return Pose(rotations[0], translations[0])
 
 
 def log_map(pose: Pose) -> np.ndarray:
     """Inverse of exp_map; raises NearPiRotation near the cut locus."""
-    theta = _so3_log(pose.rotation)
-    rho = _v_matrix_inverse(theta) @ pose.translation
-    return np.concatenate([rho, theta])
+    return log_map_stacked(pose.rotation[None], pose.translation[None])[0]
 
 
 def exp_map_stacked(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -148,12 +148,12 @@ def json_float(value) -> float:
         raise ValueError(f"{value} is out of float range") from exc
 
 
-def json_stamp(value) -> float:
-    """A timestamp: a json_float that is neither NaN nor infinite."""
-    stamp = json_float(value)
-    if not math.isfinite(stamp):
-        raise ValueError(f"expected a finite time, got {stamp!r}")
-    return stamp
+def json_finite(value) -> float:
+    """A timestamp or a confidence: a json_float that is neither NaN nor infinite."""
+    number = json_float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {number!r}")
+    return number
 
 
 def parse_pose(obj: dict, line: int) -> Pose:
@@ -194,9 +194,9 @@ def parse_detections(payload: dict, line: int) -> list[TextDetection]:
             out.append(
                 TextDetection(
                     content=entry["text"],
-                    confidence=json_float(entry["conf"]),
+                    confidence=json_finite(entry["conf"]),
                     quad=np.asarray(entry["quad"], dtype=float),
-                    timestamp=json_stamp(payload["t"]),
+                    timestamp=json_finite(payload["t"]),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -240,7 +240,7 @@ def read_trajectory(path) -> tuple[list[float | None], list[Pose]]:
     for record in read_log(path, skip_clouds=True):
         payload, line = record.payload, record.line
         if record.kind == "odom":
-            t = parse_field(payload, "t", json_stamp, line)
+            t = parse_field(payload, "t", json_finite, line)
         elif record.kind == "gt":
             t = None
         else:

@@ -23,6 +23,7 @@ from .geometry import (
     exp_map_stacked,
     log_map_stacked,
     se3_right_jacobian_inverse,
+    stack_poses,
 )
 from .loop_closure import LoopConstraint
 
@@ -58,12 +59,6 @@ class OptimizationReport:
     final_cost: float
     iterations: int
     converged: bool
-
-
-def stack_poses(poses) -> tuple[np.ndarray, np.ndarray]:
-    """(rotations (N, 3, 3), translations (N, 3)) of a sequence of poses."""
-    rotations = np.array([p.rotation for p in poses]).reshape(-1, 3, 3)
-    return rotations, np.array([p.translation for p in poses]).reshape(-1, 3)
 
 
 def _inverse(rot, trans):

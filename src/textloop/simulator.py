@@ -15,7 +15,14 @@ from functools import cached_property
 import numpy as np
 
 from .entities import CalibratedRig, TextCategory, TextDetection
-from .geometry import Pose, exp_map, interpolate, project
+from .geometry import (
+    OutOfRangeFactor,
+    Pose,
+    exp_map_stacked,
+    log_map_stacked,
+    project,
+    stack_poses,
+)
 
 SPEED = 2.0
 SENSOR_HEIGHT = 1.2
@@ -496,6 +503,23 @@ def _try_detect(world, placement, cam_pose, intrinsics, noise, rng, t_image):
     return TextDetection(content=content, confidence=confidence, quad=quad, timestamp=t_image)
 
 
+def _camera_poses(stamps, gt, steps, camera_in_lidar):
+    """Image stamps CAMERA_OFFSET after each frame but the last, and an iterator of camera poses.
+
+    The LiDAR pose at an image stamp interpolates its frame's step to the next
+    (steps, stacked) along the geodesic.  A stamp outside its frame interval
+    raises OutOfRangeFactor before any pose is made.
+    """
+    t_images = stamps[:-1] + CAMERA_OFFSET
+    factors = (t_images - stamps[:-1]) / (stamps[1:] - stamps[:-1])
+    outside = ~((0.0 <= factors) & (factors <= 1.0))
+    if outside.any():
+        raise OutOfRangeFactor(f"interpolation factor {factors[outside][0]} outside [0, 1]")
+    motions = exp_map_stacked(factors[:, None] * log_map_stacked(*steps))
+    cam_poses = (pose @ Pose(r, t) @ camera_in_lidar for pose, r, t in zip(gt, *motions))
+    return t_images.tolist(), cam_poses
+
+
 def simulate(
     world: World,
     route: np.ndarray,
@@ -518,12 +542,13 @@ def simulate(
     rng_cloud = np.random.default_rng([seed, 13])
     rng_detect = np.random.default_rng([seed, 17])
 
+    steps = stack_poses([gt[k].inverse() @ gt[k + 1] for k in range(len(gt) - 1)])
+    t_images, cam_poses = _camera_poses(stamps, gt, steps, rig.camera_in_lidar)
     if np.any(noise.odom_sigma > 0.0):
+        twists = rng_odom.standard_normal((len(gt) - 1, 6)) * noise.odom_sigma
         odom = [gt[0]]
-        for k in range(1, len(gt)):
-            increment = gt[k - 1].inverse() @ gt[k]
-            twist = rng_odom.standard_normal(6) * noise.odom_sigma
-            odom.append(odom[-1] @ increment @ exp_map(twist))
+        for step_r, step_t, r, t in zip(*steps, *exp_map_stacked(twists)):
+            odom.append(odom[-1] @ Pose(step_r, step_t) @ Pose(r, t))
     else:
         odom = list(gt)
 
@@ -540,11 +565,7 @@ def simulate(
         clouds.append(local)
 
     camera = []
-    for k in range(len(gt) - 1):
-        t_image = float(stamps[k]) + CAMERA_OFFSET
-        factor = (t_image - stamps[k]) / (stamps[k + 1] - stamps[k])
-        motion = interpolate(gt[k].inverse() @ gt[k + 1], factor)
-        cam_pose = gt[k] @ motion @ rig.camera_in_lidar
+    for t_image, cam_pose in zip(t_images, cam_poses):
         detections = []
         for placement in world.placements:
             det = _try_detect(world, placement, cam_pose, rig.intrinsics, noise, rng_detect, t_image)

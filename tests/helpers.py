@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+import one_row_lie
 from textloop.association import (
     Association,
     ConsistencyGraph,
@@ -23,7 +24,7 @@ from textloop.cli import main, optimize_trajectory, run_detector
 from textloop.config import load_config
 from textloop.entities import CalibratedRig
 from textloop.evaluation import LoopGroundTruth
-from textloop.geometry import Pose, _so3_exp
+from textloop.geometry import Pose
 from textloop.simulator import NoiseModel, Placement, World, build_world, default_route, simulate
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
@@ -46,7 +47,7 @@ def random_pose(rng: np.random.Generator, max_angle: float = 3.0, max_radius: fl
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, max_angle)
-    return Pose(_so3_exp(angle * axis), rng.uniform(-max_radius, max_radius, size=3))
+    return Pose(one_row_lie.so3_exp(angle * axis), rng.uniform(-max_radius, max_radius, size=3))
 
 
 def poses_close(a: Pose, b: Pose, tol: float) -> bool:

@@ -137,3 +137,23 @@ def test_ransac_min_points_below_three_rejected(tmp_path, capsys):
     argv = ["detect", "--log", str(tmp_path / "log.jsonl"), "--out", str(tmp_path / "loops")]
     assert main(argv + ["--config", str(path)]) == 2
     assert capsys.readouterr().err == "error: [ransac] min_points must be at least 3, got 0\n"
+
+
+@pytest.mark.parametrize("rate", [30, 20, 0, -10])
+def test_sim_rate_outside_frame_interval_exits_2(rate, tmp_path, capsys):
+    # at 20 Hz an image 0.05 s after its frame already lands past the next
+    # frame for some frames (test_simulator pins that), so 20 is rejected too
+    message = (
+        "[sim] rate must lie strictly between 0 and 20 Hz, so that each image, "
+        f"0.05 s after its frame, comes before the next; got {float(rate)}"
+    )
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        PipelineConfig({"sim": {"rate": rate}})
+    path = tmp_path / "run.ini"
+    path.write_text(f"[sim]\nrate = {rate}\n")
+    assert main(["simulate", "--out", str(tmp_path / "run"), "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sim_rate_below_twenty_hz_accepted():
+    assert PipelineConfig({"sim": {"rate": 19.5}})["sim"]["rate"] == 19.5

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import one_row_lie
 from helpers import poses_close, random_pose
 from textloop.geometry import (
     CameraIntrinsics,
@@ -16,20 +17,18 @@ from textloop.geometry import (
     PlaneParams,
     Pose,
     RayParallelToPlane,
-    _so3_exp,
     _so3_exp_stacked,
-    _so3_log,
     _so3_log_stacked,
-    _v_matrix,
-    _v_matrix_inverse,
     _v_matrix_inverse_stacked,
     _v_matrix_stacked,
     adjoint,
     backproject,
     depth_from_plane,
     exp_map,
+    exp_map_stacked,
     interpolate,
     log_map,
+    log_map_stacked,
     project,
     project_array,
     quaternion_to_rotation,
@@ -308,9 +307,9 @@ def _rotation_vectors(rng):
 def test_stacked_so3_and_v_matrices_match_one_row_functions_bitwise():
     thetas = _rotation_vectors(np.random.default_rng(59))
     pairs = (
-        (_so3_exp_stacked, _so3_exp),
-        (_v_matrix_stacked, _v_matrix),
-        (_v_matrix_inverse_stacked, _v_matrix_inverse),
+        (_so3_exp_stacked, one_row_lie.so3_exp),
+        (_v_matrix_stacked, one_row_lie.v_matrix),
+        (_v_matrix_inverse_stacked, one_row_lie.v_matrix_inverse),
     )
     for stacked, one_row in pairs:
         got = stacked(thetas)
@@ -320,17 +319,49 @@ def test_stacked_so3_and_v_matrices_match_one_row_functions_bitwise():
     rotations = _so3_exp_stacked(thetas)
     logs = _so3_log_stacked(rotations)
     for row, rot in zip(logs, rotations):
-        assert np.array_equal(row, _so3_log(rot))
+        assert np.array_equal(row, one_row_lie.so3_log(rot))
     # leading axes beyond one
     assert np.array_equal(_so3_log_stacked(rotations.reshape(20, 20, 3, 3)), logs.reshape(20, 20, 3))
+
+
+def test_one_pose_exp_log_interpolate_match_one_row_functions_bitwise():
+    rng = np.random.default_rng(61)
+    thetas = _rotation_vectors(rng)
+    twists = np.concatenate([rng.uniform(-5.0, 5.0, size=thetas.shape), thetas], axis=1)
+    for xi in twists:
+        pose = exp_map(xi)
+        expected = one_row_lie.exp_map(xi)
+        assert np.array_equal(pose.rotation, expected.rotation)
+        assert np.array_equal(pose.translation, expected.translation)
+        assert np.array_equal(log_map(pose), one_row_lie.log_map(pose))
+        factor = rng.uniform(0.0, 1.0)
+        mid, expected = interpolate(pose, factor), one_row_lie.interpolate(pose, factor)
+        assert np.array_equal(mid.rotation, expected.rotation)
+        assert np.array_equal(mid.translation, expected.translation)
 
 
 def test_stacked_so3_log_raises_for_first_row_at_pi():
     rotations = _so3_exp_stacked(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, np.pi], [0.0, np.pi, 0.0]]))
     with pytest.raises(NearPiRotation) as expected:
-        _so3_log(rotations[1])
+        one_row_lie.so3_log(rotations[1])
     with pytest.raises(NearPiRotation) as got:
         _so3_log_stacked(rotations)
+    assert str(got.value) == str(expected.value)
+
+
+def test_log_map_stacked_takes_one_bare_pose():
+    # below _SMALL_ANGLE, in between, and in the 1e-3 band below pi
+    for angle in (0.0, 3e-5, 0.7, 2.9, np.pi - 5e-4):
+        rotation, translation = exp_map_stacked(np.array([1.0, -2.0, 0.5, 0.0, angle, 0.0]))
+        assert rotation.shape == (3, 3) and translation.shape == (3,)
+        got = log_map_stacked(rotation, translation)
+        assert got.shape == (6,)
+        assert np.array_equal(got, log_map_stacked(rotation[None], translation[None])[0])
+    flip = exp_map_stacked(np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.pi]))
+    with pytest.raises(NearPiRotation) as expected:
+        log_map_stacked(flip[0][None], flip[1][None])
+    with pytest.raises(NearPiRotation) as got:
+        log_map_stacked(*flip)
     assert str(got.value) == str(expected.value)
 
 

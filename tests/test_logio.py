@@ -15,8 +15,8 @@ from textloop.logio import (
     calib_record,
     cloud_record,
     gt_record,
+    json_finite,
     json_float,
-    json_stamp,
     odom_record,
     parse_calib,
     parse_cloud,
@@ -451,13 +451,13 @@ def test_json_float_takes_json_numbers_only():
 
 
 def test_json_stamp_is_finite():
-    assert json_stamp(0) == 0.0
-    assert json_stamp(12.5) == 12.5
+    assert json_finite(0) == 0.0
+    assert json_finite(12.5) == 12.5
     for value in (float("nan"), float("inf"), float("-inf"), 10**400):
         with pytest.raises(ValueError):
-            json_stamp(value)
+            json_finite(value)
     with pytest.raises(TypeError):
-        json_stamp(True)
+        json_finite(True)
 
 
 def _sensor_log(tmp_path, key_path, value):
@@ -490,7 +490,7 @@ def test_bad_sensor_stamp_exits_2(key_path, message, value, tmp_path, capsys):
     assert f"error: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [True, "0.93", None])
+@pytest.mark.parametrize("value", [True, "0.93", None, float("nan"), float("inf"), float("-inf")])
 def test_bad_detection_confidence_exits_2(value, tmp_path, capsys):
     path = _sensor_log(tmp_path, (6, "detections", 0, "conf"), value)
     assert main(["detect", "--log", path, "--out", str(tmp_path / "loops.jsonl")]) == 2

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 
+import one_row_lie
 from helpers import poses_close, random_pose
 from textloop.geometry import (
     _SMALL_ANGLE,
     NearPiRotation,
     Pose,
-    _skew,
-    _v_matrix_inverse,
     exp_map,
-    log_map,
+    stack_poses,
 )
 from textloop.loop_closure import LoopConstraint, LoopSource
 from textloop.pose_graph import (
@@ -20,7 +19,6 @@ from textloop.pose_graph import (
     PoseGraph,
     PoseGraphEdge,
     SingularNormalEquations,
-    stack_poses,
 )
 
 
@@ -227,22 +225,23 @@ def test_report_fields():
 
 # The per-edge Levenberg-Marquardt that the stacked PoseGraph replaced, kept
 # as its oracle: one Python call per edge for residuals, Jacobians and cost.
-# The Jacobian helpers are frozen copies of the one-edge geometry functions,
-# so the oracle shares no stacked code with what it checks.
+# Its exp, log, skew and inverse V-matrix come from the frozen one-pose copies
+# in one_row_lie, and its Jacobian helpers are frozen copies too, so the
+# oracle shares no stacked code with what it checks.
 
 
 def _oracle_adjoint(pose):
     out = np.zeros((6, 6))
     out[:3, :3] = pose.rotation
-    out[:3, 3:] = _skew(pose.translation) @ pose.rotation
+    out[:3, 3:] = one_row_lie.skew(pose.translation) @ pose.rotation
     out[3:, 3:] = pose.rotation
     return out
 
 
 def _oracle_q_matrix(rho, theta):
     angle = float(np.linalg.norm(theta))
-    cr = _skew(rho)
-    cp = _skew(theta)
+    cr = one_row_lie.skew(rho)
+    cp = one_row_lie.skew(theta)
     if angle < _SMALL_ANGLE:
         c1 = 1.0 / 6.0 - angle**2 / 120.0
         c2 = 1.0 / 24.0 - angle**2 / 720.0
@@ -266,7 +265,7 @@ def _oracle_q_matrix(rho, theta):
 def _oracle_right_jacobian_inverse(xi):
     xi = -np.asarray(xi, dtype=float).reshape(6)
     rho, theta = xi[:3], xi[3:]
-    v_inv = _v_matrix_inverse(theta)
+    v_inv = one_row_lie.v_matrix_inverse(theta)
     q = _oracle_q_matrix(rho, theta)
     out = np.zeros((6, 6))
     out[:3, :3] = v_inv
@@ -295,11 +294,11 @@ class _PerEdgeGraph:
     def residual(self, edge, nodes=None):
         nodes = self.nodes if nodes is None else nodes
         x = nodes[edge.i].inverse() @ nodes[edge.j]
-        return log_map(edge.measured.inverse() @ x)
+        return one_row_lie.log_map(edge.measured.inverse() @ x)
 
     def edge_jacobians(self, edge):
         x = self.nodes[edge.i].inverse() @ self.nodes[edge.j]
-        r = log_map(edge.measured.inverse() @ x)
+        r = one_row_lie.log_map(edge.measured.inverse() @ x)
         jr_inv = _oracle_right_jacobian_inverse(r)
         return r, -jr_inv @ _oracle_adjoint(x.inverse()), jr_inv
 
@@ -339,7 +338,7 @@ class _PerEdgeGraph:
     def retract(self, delta):
         nodes = [self.nodes[0]]
         for k in range(1, len(self.nodes)):
-            nodes.append(self.nodes[k] @ exp_map(delta[6 * (k - 1) : 6 * k]))
+            nodes.append(self.nodes[k] @ one_row_lie.exp_map(delta[6 * (k - 1) : 6 * k]))
         return nodes
 
     def optimize(self, max_iterations=100, lambda_init=1e-6, huber_delta=None, tolerance=1e-12):

@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
+import one_row_lie
 from helpers import default_rig, placement_entity_pose
 from textloop.entities import ExtractionParams, classify_text, compile_id_pattern, extract_entities
 from textloop.entities import TextCategory
-from textloop.geometry import interpolate
+from textloop.geometry import OutOfRangeFactor, interpolate, stack_poses
 from textloop.simulator import (
+    CAMERA_OFFSET,
     CONFUSABLE,
     NoiseModel,
     Wall,
     WaypointOutsideWorld,
     World,
+    _camera_poses,
     _misread,
+    _try_detect,
     build_world,
     default_route,
     route_poses,
@@ -261,3 +265,77 @@ def test_wall_geometry_cached_read_only_and_bit_exact():
     for cached in (wall.direction, wall.normal):
         with pytest.raises(ValueError):
             cached[0] = 0.0
+
+
+def _per_frame_loops(result, noise, seed):
+    """simulate's odometry and camera loops as they ran one frame at a time.
+
+    A frozen copy, on the one-pose functions of one_row_lie: the oracle for
+    the stacked odometry draw and the stacked camera interpolation.
+    """
+    stamps, gt, rig = result.stamps, result.gt_poses, result.rig
+    rng_odom = np.random.default_rng([seed, 11])
+    rng_detect = np.random.default_rng([seed, 17])
+    odom = [gt[0]]
+    for k in range(1, len(gt)):
+        increment = gt[k - 1].inverse() @ gt[k]
+        twist = rng_odom.standard_normal(6) * noise.odom_sigma
+        odom.append(odom[-1] @ increment @ one_row_lie.exp_map(twist))
+    cam_poses, camera = [], []
+    for k in range(len(gt) - 1):
+        t_image = float(stamps[k]) + CAMERA_OFFSET
+        factor = (t_image - stamps[k]) / (stamps[k + 1] - stamps[k])
+        motion = one_row_lie.interpolate(gt[k].inverse() @ gt[k + 1], factor)
+        cam_pose = gt[k] @ motion @ rig.camera_in_lidar
+        detections = []
+        for placement in result.world.placements:
+            det = _try_detect(
+                result.world, placement, cam_pose, rig.intrinsics, noise, rng_detect, t_image
+            )
+            if det is not None:
+                detections.append(det)
+        cam_poses.append(cam_pose)
+        camera.append((t_image, detections))
+    return odom, cam_poses, camera
+
+
+def _first_pose_that_differs(got, expected):
+    assert len(got) == len(expected)
+    for k, (a, b) in enumerate(zip(got, expected)):
+        if not np.array_equal(a.rotation, b.rotation) or not np.array_equal(a.translation, b.translation):
+            return k
+    return None
+
+
+def _detection_bits(camera):
+    return [
+        (t, [(d.content, d.confidence, d.quad.tobytes(), d.timestamp) for d in dets])
+        for t, dets in camera
+    ]
+
+
+def test_stacked_odometry_and_camera_poses_match_per_frame_loops_bitwise():
+    # rotation sigma near _SMALL_ANGLE puts odometry twists on both sides of
+    # the series switch; straight runs and corners do the same for camera steps
+    noise = NoiseModel(odom_sigma=np.array([0.01, 0.01, 0.002, 6e-5, 6e-5, 6e-5]), bbox_jitter=0.5)
+    world, route = build_world("corridor", seed=2), default_route("corridor", laps=1)
+    result = simulate(world, route, default_rig(), noise, seed=5)
+    odom, cam_poses, camera = _per_frame_loops(result, noise, seed=5)
+    k = _first_pose_that_differs(result.odom_poses, odom)
+    assert k is None, f"odom pose {k} of {len(odom)} differs from the per-frame loop"
+    gt = result.gt_poses
+    steps = stack_poses([gt[k].inverse() @ gt[k + 1] for k in range(len(gt) - 1)])
+    t_images, stacked = _camera_poses(result.stamps, gt, steps, result.rig.camera_in_lidar)
+    k = _first_pose_that_differs(list(stacked), cam_poses)
+    assert k is None, f"camera pose {k} of {len(cam_poses)} differs from the per-frame loop"
+    assert t_images == [t for t, _ in camera]
+    assert _detection_bits(result.camera) == _detection_bits(camera)
+
+
+@pytest.mark.parametrize("rate", [20.0, 30.0])
+def test_simulate_raises_when_an_image_stamp_leaves_its_frame_interval(rate):
+    # 20 Hz is the first rate the config rejects: 0.05 s after a frame is
+    # already past the next one for some frames there
+    world = build_world("corridor", seed=0)
+    with pytest.raises(OutOfRangeFactor):
+        simulate(world, default_route("corridor", laps=1), default_rig(), rate=rate)
