@@ -20,7 +20,7 @@ from . import __version__
 from .config import ConfigError, PipelineConfig, load_config
 from .entities import ExtractionError, extract_entities
 from .evaluation import LengthMismatch, label_loop_poses, make_report
-from .geometry import GeometryError
+from .geometry import GeometryError, OutOfRangeFactor, stack_poses
 from .logio import (
     LogFormatError,
     json_finite,
@@ -164,8 +164,12 @@ def optimize_trajectory(odom_poses, constraints, config: PipelineConfig):
     graph = PoseGraph.from_odometry(
         odom_poses, sigma_t=edges["odom_sigma_t"], sigma_r=edges["odom_sigma_r"]
     )
-    for constraint in constraints:
-        graph.add_loop(constraint)
+    graph.add_edges(
+        [c.frame_i for c in constraints],
+        [c.frame_j for c in constraints],
+        stack_poses([c.relative_pose for c in constraints]),
+        [c.information for c in constraints],
+    )
     g = config["graph"]
     report = graph.optimize(
         max_iterations=g["max_iterations"],
@@ -210,9 +214,12 @@ def cmd_simulate(args) -> int:
     laps = args.laps if args.laps is not None else sim["laps"]
     world = build_world(scenario, seed=seed)
     route = default_route(scenario, laps=laps)
-    result = simulate(
-        world, route, config.rig(), noise=config.noise_model(), rate=sim["rate"], seed=seed
-    )
+    try:
+        result = simulate(
+            world, route, config.rig(), noise=config.noise_model(), rate=sim["rate"], seed=seed
+        )
+    except OutOfRangeFactor as exc:  # stamp rounding grows with the run: no exact config bound
+        raise ConfigError(f"[sim] rate {sim['rate']} puts an image past its next frame: {exc}")
     os.makedirs(args.out, exist_ok=True)
     log, gt = simulation_to_records(result)
     log_path = os.path.join(args.out, "log.jsonl")

@@ -109,7 +109,7 @@ def _parse_value(raw: str):
 
 def _coerce(section: str, key: str, value, default):
     """Fit a parsed value to the default's type; reject structural mismatches."""
-    if default is None or value is None:
+    if default is None:
         return value
     if isinstance(default, int):
         if isinstance(value, int) and not isinstance(value, bool):
@@ -159,6 +159,14 @@ class PipelineConfig:
                 f"[sim] rate must lie strictly between 0 and {1.0 / CAMERA_OFFSET:g} Hz, so that "
                 f"each image, {CAMERA_OFFSET} s after its frame, comes before the next; got {rate}"
             )
+        # NoiseModel's own bounds, named by key; `not` also rejects NaN
+        sim = merged["sim"]
+        for key in ("detect_prob", "misread_prob"):
+            if not 0.0 <= sim[key] <= 1.0:
+                raise ConfigError(f"[sim] {key} must lie in [0, 1], got {sim[key]}")
+        for key in ("odom_sigma_t", "odom_sigma_r", "bbox_jitter", "cloud_sigma"):
+            if not sim[key] >= 0.0:
+                raise ConfigError(f"[sim] {key} must be non-negative, got {sim[key]}")
         self.values = merged
 
     def __getitem__(self, section: str) -> dict:

@@ -227,6 +227,25 @@ def stack_poses(poses) -> tuple[np.ndarray, np.ndarray]:
     return rotations, np.array([p.translation for p in poses]).reshape(-1, 3)
 
 
+def inverse_stacked(rotations: np.ndarray, translations: np.ndarray):
+    """Pose.inverse of each (..., 3, 3) rotation and (..., 3) translation."""
+    # like the Pose it makes, the rotation keeps the transposed layout, which
+    # decides how BLAS rounds the products taken with it
+    rot_t = np.swapaxes(rotations, -1, -2)
+    return rot_t, (-rot_t @ translations[..., None])[..., 0]
+
+
+def compose_stacked(rot_a, trans_a, rot_b, trans_b):
+    """Pose.compose of each row of a with the same row of b."""
+    return rot_a @ rot_b, (rot_a @ trans_b[..., None])[..., 0] + trans_a
+
+
+def relative_stacked(rotations: np.ndarray, translations: np.ndarray, i, j):
+    """poses[i[k]]^-1 poses[j[k]] for each k, as stacked (rotations, translations)."""
+    rot_i, trans_i = inverse_stacked(rotations[i], translations[i])
+    return compose_stacked(rot_i, trans_i, rotations[j], translations[j])
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole parameters in pixels."""

@@ -3,9 +3,9 @@
 Nodes are absolute poses; each edge measures the pose of node j expressed in
 node i's frame.  Levenberg-Marquardt with analytic Jacobians and a sparse
 normal-equation solve.  The first node is held fixed to pin the gauge freedom.
-Residuals, Jacobians, costs and the retraction are evaluated for all edges
-(or nodes) at once on stacked arrays: rotations (N, 3, 3), translations
-(N, 3), one row per edge or node.
+The edges are stacked arrays, one row per edge, that add_edges extends a whole
+stack at a time.  Residuals, Jacobians, costs and the retraction are evaluated
+for all edges (or nodes) at once: rotations (N, 3, 3), translations (N, 3).
 """
 
 from __future__ import annotations
@@ -20,12 +20,14 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 from .geometry import (
     Pose,
     adjoint,
+    compose_stacked,
     exp_map_stacked,
+    inverse_stacked,
     log_map_stacked,
+    relative_stacked,
     se3_right_jacobian_inverse,
     stack_poses,
 )
-from .loop_closure import LoopConstraint
 
 ODOM_SIGMA_T = 0.02
 ODOM_SIGMA_R = 0.005
@@ -40,20 +42,6 @@ class SingularNormalEquations(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PoseGraphEdge:
-    i: int
-    j: int
-    measured: Pose
-    information: np.ndarray
-
-    def __post_init__(self):
-        if self.i == self.j:
-            raise ValueError(f"edge endpoints must differ, got {self.i}")
-        info = np.asarray(self.information, dtype=float).reshape(6, 6)
-        object.__setattr__(self, "information", info)
-
-
-@dataclass(frozen=True)
 class OptimizationReport:
     initial_cost: float
     final_cost: float
@@ -61,37 +49,19 @@ class OptimizationReport:
     converged: bool
 
 
-def _inverse(rot, trans):
-    # Pose.inverse; like the Pose it makes, the rotation keeps the transposed
-    # layout, which decides how BLAS rounds the products taken with it
-    rot_t = np.swapaxes(rot, -1, -2)
-    return rot_t, (-rot_t @ trans[..., None])[..., 0]
-
-
-def _compose(rot_a, trans_a, rot_b, trans_b):
-    return rot_a @ rot_b, (rot_a @ trans_b[..., None])[..., 0] + trans_a
-
-
 def _quadratic(r, info) -> np.ndarray:
     """r_k^T info_k r_k for each row k."""
     return ((r[:, None, :] @ info) @ r[:, :, None])[:, 0, 0]
 
 
-class _EdgeStack:
-    """The edges as arrays: endpoints, inverted measurements, information."""
-
-    def __init__(self, edges):
-        self.i = np.array([e.i for e in edges], dtype=np.int64)
-        self.j = np.array([e.j for e in edges], dtype=np.int64)
-        self.meas_inv = _inverse(*stack_poses([e.measured for e in edges]))
-        self.info = np.array([e.information for e in edges]).reshape(-1, 6, 6)
-
-
 class PoseGraph:
     def __init__(self, nodes):
         self.nodes: list[Pose] = list(nodes)
-        self.edges: list[PoseGraphEdge] = []
-        self._edge_stack: _EdgeStack | None = None
+        # one row per edge: the node pair (i, j), the measurement of node j in
+        # node i's frame, inverted as inverse_stacked makes it, and information
+        self.edges = np.empty((0, 2), dtype=np.int64)
+        self.rot_inv, self.trans_inv = inverse_stacked(np.empty((0, 3, 3)), np.empty((0, 3)))
+        self.info = np.empty((0, 6, 6))
 
     @classmethod
     def from_odometry(
@@ -99,64 +69,57 @@ class PoseGraph:
     ) -> "PoseGraph":
         """Chain graph whose edges measure the odometry increments."""
         graph = cls(poses)
+        k = np.arange(len(graph.nodes) - 1)
         info = np.diag([1.0 / sigma_t**2] * 3 + [1.0 / sigma_r**2] * 3)
-        for k in range(len(graph.nodes) - 1):
-            measured = graph.nodes[k].inverse() @ graph.nodes[k + 1]
-            graph.edges.append(PoseGraphEdge(k, k + 1, measured, info))
+        graph.add_edges(k, k + 1, relative_stacked(*stack_poses(graph.nodes), k, k + 1), info)
         return graph
 
-    def add_edge(self, i: int, j: int, measured: Pose, information: np.ndarray) -> None:
+    def add_edges(self, i, j, measured, information) -> None:
+        """Append edges measuring node j[k] in node i[k]'s frame, in row order.
+
+        measured is (rotations (E, 3, 3), translations (E, 3)), C-contiguous as
+        stack_poses makes them; information is E (6, 6) matrices, or one for all.
+        """
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
         n = len(self.nodes)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) outside node range {n}")
-        self.edges.append(PoseGraphEdge(i, j, measured, information))
-
-    def add_loop(self, constraint: LoopConstraint) -> None:
-        self.add_edge(
-            constraint.frame_i,
-            constraint.frame_j,
-            constraint.relative_pose,
-            constraint.information,
-        )
-
-    def _edges(self) -> _EdgeStack:
-        """The edges as arrays, made again when edges were added."""
-        if self._edge_stack is None or len(self._edge_stack.i) != len(self.edges):
-            self._edge_stack = _EdgeStack(self.edges)
-        return self._edge_stack
+        bad = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n) | (i == j)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"edge ({i[k]}, {j[k]}) must join two different nodes of {n}")
+        rot, trans = measured
+        info = np.broadcast_to(np.reshape(information, (-1, 6, 6)), (len(i), 6, 6))
+        self.edges = np.concatenate([self.edges, np.stack([i, j], axis=1)])
+        # joined before the transpose, so that the stack keeps inverse_stacked's layout
+        self.rot_inv = np.swapaxes(np.concatenate([np.swapaxes(self.rot_inv, 1, 2), rot]), 1, 2)
+        self.trans_inv = np.concatenate([self.trans_inv, inverse_stacked(rot, trans)[1]])
+        self.info = np.concatenate([self.info, info])
 
     def _relative(self, nodes):
         """Relative poses x = nodes[i]^-1 nodes[j] and (E, 6) residuals of all edges."""
-        rot, trans = stack_poses(self.nodes) if nodes is None else nodes
-        edges = self._edges()
-        x = _compose(*_inverse(rot[edges.i], trans[edges.i]), rot[edges.j], trans[edges.j])
-        return x, log_map_stacked(*_compose(*edges.meas_inv, *x))
+        x = relative_stacked(*nodes, *self.edges.T)
+        return x, log_map_stacked(*compose_stacked(self.rot_inv, self.trans_inv, *x))
 
-    def edge_jacobians(self, nodes=None):
+    def edge_jacobians(self, nodes):
         """Residuals (E, 6) and their (E, 6, 6) derivatives for right perturbations of i and j.
 
-        nodes are stacked (rotations, translations), as stack_poses makes
-        them; by default self.nodes.
+        nodes are stacked (rotations, translations), as stack_poses makes them.
         """
         x, r = self._relative(nodes)
         jr_inv = se3_right_jacobian_inverse(r)
-        return r, -jr_inv @ adjoint(*_inverse(*x)), jr_inv
+        return r, -jr_inv @ adjoint(*inverse_stacked(*x)), jr_inv
 
-    def cost(self, nodes=None, huber_delta: float | None = None) -> float:
+    def cost(self, nodes, huber_delta: float | None = None) -> float:
         """Sum over edges of r^T info r, Huber-robustified past huber_delta^2."""
-        s = _quadratic(self._relative(nodes)[1], self._edges().info)
+        s = _quadratic(self._relative(nodes)[1], self.info)
         if huber_delta is not None:
             over = ~(s <= huber_delta * huber_delta)
             s[over] = 2.0 * huber_delta * np.sqrt(s[over]) - huber_delta * huber_delta
-        total = 0.0
-        for value in s.tolist():  # left to right: np.sum would round differently
-            total += value
-        return total
+        # a running sum from 0.0, left to right: np.sum's pairwise sum rounds differently
+        return float(np.cumsum(np.concatenate([[0.0], s]))[-1])
 
     def _linearize(self, nodes, huber_delta):
         r, j_i, j_j = self.edge_jacobians(nodes)
-        edges = self._edges()
-        info = edges.info
+        info = self.info
         if huber_delta is not None:
             s = _quadratic(r, info)
             weight = np.ones(len(s))
@@ -167,7 +130,7 @@ class PoseGraph:
         jt_info = [np.swapaxes(jac, 1, 2) @ info for jac in jacs]
         # per edge the blocks (i, i), (i, j), (j, i), (j, j) in this order, and
         # b in edge order, so that duplicates sum in the order they always have
-        var = np.stack([edges.i - 1, edges.j - 1], axis=1)  # -1: node 0, held fixed
+        var = self.edges - 1  # -1: node 0, held fixed
         row, col = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
         blocks = np.stack([jt_info[a] @ jacs[c] for a, c in zip(row, col)], axis=1)
         keep = (var[:, row] >= 0) & (var[:, col] >= 0)
@@ -204,7 +167,7 @@ class PoseGraph:
         rot, trans = nodes
         step_rot, step_trans = exp_map_stacked(delta.reshape(-1, 6))
         moved_rot, moved_trans = rot.copy(), trans.copy()
-        moved_rot[1:], moved_trans[1:] = _compose(rot[1:], trans[1:], step_rot, step_trans)
+        moved_rot[1:], moved_trans[1:] = compose_stacked(rot[1:], trans[1:], step_rot, step_trans)
         return moved_rot, moved_trans
 
     def optimize(
@@ -218,7 +181,7 @@ class PoseGraph:
         nodes = stack_poses(self.nodes)
         cost = self.cost(nodes, huber_delta)
         initial = cost
-        if len(self.nodes) <= 1 or not self.edges:
+        if len(self.nodes) <= 1 or not len(self.edges):
             return OptimizationReport(initial, cost, 0, True)
         lam = lambda_init
         converged = False

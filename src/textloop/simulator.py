@@ -21,6 +21,7 @@ from .geometry import (
     exp_map_stacked,
     log_map_stacked,
     project,
+    relative_stacked,
     stack_poses,
 )
 
@@ -542,7 +543,8 @@ def simulate(
     rng_cloud = np.random.default_rng([seed, 13])
     rng_detect = np.random.default_rng([seed, 17])
 
-    steps = stack_poses([gt[k].inverse() @ gt[k + 1] for k in range(len(gt) - 1)])
+    k = np.arange(len(gt) - 1)
+    steps = relative_stacked(*stack_poses(gt), k, k + 1)
     t_images, cam_poses = _camera_poses(stamps, gt, steps, rig.camera_in_lidar)
     if np.any(noise.odom_sigma > 0.0):
         twists = rng_odom.standard_normal((len(gt) - 1, 6)) * noise.odom_sigma

@@ -24,7 +24,8 @@ from textloop.cli import main, optimize_trajectory, run_detector
 from textloop.config import load_config
 from textloop.entities import CalibratedRig
 from textloop.evaluation import LoopGroundTruth
-from textloop.geometry import Pose
+from textloop.geometry import Pose, stack_poses
+from textloop.pose_graph import PoseGraph
 from textloop.simulator import NoiseModel, Placement, World, build_world, default_route, simulate
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
@@ -48,6 +49,11 @@ def random_pose(rng: np.random.Generator, max_angle: float = 3.0, max_radius: fl
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, max_angle)
     return Pose(one_row_lie.so3_exp(angle * axis), rng.uniform(-max_radius, max_radius, size=3))
+
+
+def add_edge(graph: PoseGraph, i: int, j: int, measured: Pose, information) -> None:
+    """One edge, as a one-row stack through PoseGraph.add_edges."""
+    graph.add_edges([i], [j], stack_poses([measured]), information)
 
 
 def poses_close(a: Pose, b: Pose, tol: float) -> bool:

@@ -155,5 +155,49 @@ def test_sim_rate_outside_frame_interval_exits_2(rate, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("detect_prob", "2", "[sim] detect_prob must lie in [0, 1], got 2.0"),
+        ("detect_prob", "-0.5", "[sim] detect_prob must lie in [0, 1], got -0.5"),
+        ("misread_prob", "1.5", "[sim] misread_prob must lie in [0, 1], got 1.5"),
+        ("misread_prob", "NaN", "[sim] misread_prob must lie in [0, 1], got nan"),
+        ("odom_sigma_t", "-1", "[sim] odom_sigma_t must be non-negative, got -1.0"),
+        ("odom_sigma_r", "-0.01", "[sim] odom_sigma_r must be non-negative, got -0.01"),
+        ("bbox_jitter", "-2", "[sim] bbox_jitter must be non-negative, got -2.0"),
+        ("cloud_sigma", "NaN", "[sim] cloud_sigma must be non-negative, got nan"),
+        ("rate", "null", "[sim] rate expects a number, got None"),
+        ("detect_prob", "null", "[sim] detect_prob expects a number, got None"),
+    ],
+)
+def test_sim_noise_outside_its_range_exits_2(key, value, message, tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[sim]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(path), environ={})
+    commands = [
+        ["simulate", "--out", str(tmp_path / "run")],
+        ["detect", "--log", str(tmp_path / "log.jsonl"), "--out", str(tmp_path / "loops")],
+    ]
+    for argv in commands:
+        assert main(argv + ["--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sim_rate_just_below_twenty_hz_exits_2_when_a_stamp_leaves_its_interval(
+    tmp_path, capsys
+):
+    # passes PipelineConfig's bound, but on a 1-lap corridor the rounding of
+    # k / rate + 0.05 puts one image stamp past its next frame
+    rate = float(np.nextafter(20.0, 0.0))
+    path = tmp_path / "run.ini"
+    path.write_text(f"[sim]\nscenario = corridor\nlaps = 1\nrate = {rate!r}\n")
+    argv = ["simulate", "--out", str(tmp_path / "run"), "--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: [sim] rate {rate!r} puts an image")
+    assert "interpolation factor 1.0000000000000022 outside [0, 1]" in err
+
+
 def test_sim_rate_below_twenty_hz_accepted():
     assert PipelineConfig({"sim": {"rate": 19.5}})["sim"]["rate"] == 19.5

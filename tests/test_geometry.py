@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import one_row_lie
-from helpers import poses_close, random_pose
+from helpers import default_rig, poses_close, random_pose
 from textloop.geometry import (
     CameraIntrinsics,
     NearPiRotation,
@@ -33,8 +33,11 @@ from textloop.geometry import (
     project_array,
     quaternion_to_rotation,
     rotation_to_quaternion,
+    relative_stacked,
     se3_right_jacobian_inverse,
+    stack_poses,
 )
+from textloop.simulator import NoiseModel, build_world, default_route, simulate
 
 IDENTITY_K = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
 WALL_PLANE = PlaneParams(normal=[0.0, 0.0, -1.0], offset=5.0)
@@ -363,6 +366,43 @@ def test_log_map_stacked_takes_one_bare_pose():
     with pytest.raises(NearPiRotation) as got:
         log_map_stacked(*flip)
     assert str(got.value) == str(expected.value)
+
+
+def _assert_relative_matches_one_row(poses, i, j):
+    rotations, translations = relative_stacked(*stack_poses(poses), i, j)
+    assert rotations.flags.c_contiguous and translations.flags.c_contiguous
+    for k, (rotation, translation) in enumerate(zip(rotations, translations)):
+        step = poses[i[k]].inverse() @ poses[j[k]]
+        assert np.array_equal(rotation, step.rotation), f"row {k} rotation"
+        assert np.array_equal(translation, step.translation), f"row {k} translation"
+
+
+def _steps(poses):
+    k = np.arange(len(poses) - 1)
+    return k, k + 1
+
+
+def test_relative_stacked_matches_one_row_inverse_compose_bitwise():
+    rng = np.random.default_rng(73)
+    poses = [random_pose(rng, max_angle=np.pi - 1e-6, max_radius=50.0) for _ in range(200)]
+    # near-identity steps: each pose a tiny twist past the one before it
+    for scale in (1e-9, 1e-5, 1e-2):
+        for _ in range(50):
+            twist = rng.normal(scale=scale, size=6)
+            poses.append(poses[-1] @ one_row_lie.exp_map(twist))
+    _assert_relative_matches_one_row(poses, *_steps(poses))
+    pairs = rng.integers(0, len(poses), size=(500, 2))
+    _assert_relative_matches_one_row(poses, *pairs.T)
+    shapes = [a.shape for a in relative_stacked(*stack_poses(poses[:1]), *_steps(poses[:1]))]
+    assert shapes == [(0, 3, 3), (0, 3)]
+
+
+def test_relative_stacked_steps_match_one_row_on_noisy_odometry():
+    noise = NoiseModel(odom_sigma=np.array([0.01] * 3 + [0.002] * 3))
+    world = build_world("corridor", seed=2)
+    result = simulate(world, default_route("corridor", laps=1), default_rig(), noise, seed=2)
+    assert len(result.odom_poses) > 100
+    _assert_relative_matches_one_row(result.odom_poses, *_steps(result.odom_poses))
 
 
 def test_plane_params_normalizes_input():

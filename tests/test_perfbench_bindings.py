@@ -12,9 +12,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 import textloop.cli as cli  # noqa: E402
 from textloop.config import load_config  # noqa: E402
-from textloop.loop_closure import DetectorState  # noqa: E402
+from textloop.geometry import Pose  # noqa: E402
+from textloop.loop_closure import DetectorState, LoopConstraint, LoopSource  # noqa: E402
 from textloop.pose_graph import PoseGraph  # noqa: E402
 from textloop.simulator import build_world, default_route, simulate  # noqa: E402
 
@@ -90,3 +93,20 @@ def test_in_memory_replay_records_every_detect_layer():
     ):
         assert tracer.counts[name + ".calls"] > 0, name
         assert any(span[2] == name for span in tracer.spans), name
+
+
+def test_optimize_span_counts_one_edge_per_odometry_step_and_loop():
+    # on_optimize adds len(graph.edges): that must count rows, not the fields
+    # of the edge stack, or the pose_graph.edges row is wrong without an error
+    odom = [Pose(np.eye(3), [float(k), 0.0, 0.0]) for k in range(12)]
+    constraints = [
+        LoopConstraint(i, j, odom[i].inverse() @ odom[j], np.eye(6), LoopSource.GENERIC_TEXT)
+        for i, j in ((9, 1), (11, 3), (11, 4))
+    ]
+    tracer = spans.Tracer().install()
+    try:
+        cli.optimize_trajectory(odom, constraints, load_config(None, environ={}))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["pose_graph.optimize.calls"] == 1
+    assert tracer.counts["pose_graph.edges"] == (len(odom) - 1) + len(constraints)
