@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -110,7 +111,12 @@ def _parse_value(raw: str):
 def _coerce(section: str, key: str, value, default):
     """Fit a parsed value to the default's type; reject structural mismatches."""
     if default is None:
-        return value
+        # the one null default, [graph] huber_delta, is an optional number
+        if value is None:
+            return None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        raise ConfigError(f"[{section}] {key} expects null or a number, got {value!r}")
     if isinstance(default, int):
         if isinstance(value, int) and not isinstance(value, bool):
             return value
@@ -164,9 +170,24 @@ class PipelineConfig:
         for key in ("detect_prob", "misread_prob"):
             if not 0.0 <= sim[key] <= 1.0:
                 raise ConfigError(f"[sim] {key} must lie in [0, 1], got {sim[key]}")
-        for key in ("odom_sigma_t", "odom_sigma_r", "bbox_jitter", "cloud_sigma"):
+        for key in (
+            "odom_sigma_t", "odom_sigma_r", "bbox_jitter", "cloud_sigma",
+            "max_range", "max_incidence",
+        ):
             if not sim[key] >= 0.0:
                 raise ConfigError(f"[sim] {key} must be non-negative, got {sim[key]}")
+        # the pose graph divides by the sigmas and scales them
+        edges = merged["edges"]
+        for key in (
+            "odom_sigma_t", "odom_sigma_r", "loop_sigma_t", "loop_sigma_r", "unrefined_scale",
+        ):
+            if not 0.0 < edges[key] < math.inf:
+                raise ConfigError(f"[edges] {key} must be positive and finite, got {edges[key]}")
+        huber = merged["graph"]["huber_delta"]
+        if huber is not None and not 0.0 < huber < math.inf:
+            raise ConfigError(
+                f"[graph] huber_delta must be null or positive and finite, got {huber}"
+            )
         self.values = merged
 
     def __getitem__(self, section: str) -> dict:

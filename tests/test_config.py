@@ -166,6 +166,10 @@ def test_sim_rate_outside_frame_interval_exits_2(rate, tmp_path, capsys):
         ("odom_sigma_r", "-0.01", "[sim] odom_sigma_r must be non-negative, got -0.01"),
         ("bbox_jitter", "-2", "[sim] bbox_jitter must be non-negative, got -2.0"),
         ("cloud_sigma", "NaN", "[sim] cloud_sigma must be non-negative, got nan"),
+        ("max_range", "NaN", "[sim] max_range must be non-negative, got nan"),
+        ("max_range", "-1", "[sim] max_range must be non-negative, got -1.0"),
+        ("max_incidence", "NaN", "[sim] max_incidence must be non-negative, got nan"),
+        ("max_incidence", "-0.1", "[sim] max_incidence must be non-negative, got -0.1"),
         ("rate", "null", "[sim] rate expects a number, got None"),
         ("detect_prob", "null", "[sim] detect_prob expects a number, got None"),
     ],
@@ -201,3 +205,46 @@ def test_sim_rate_just_below_twenty_hz_exits_2_when_a_stamp_leaves_its_interval(
 
 def test_sim_rate_below_twenty_hz_accepted():
     assert PipelineConfig({"sim": {"rate": 19.5}})["sim"]["rate"] == 19.5
+
+
+@pytest.mark.parametrize(
+    "section, key, value, detail",
+    [
+        ("edges", "odom_sigma_t", "0", "must be positive and finite, got 0.0"),
+        ("edges", "odom_sigma_r", "-0.01", "must be positive and finite, got -0.01"),
+        ("edges", "loop_sigma_t", "NaN", "must be positive and finite, got nan"),
+        ("edges", "loop_sigma_r", "Infinity", "must be positive and finite, got inf"),
+        ("edges", "unrefined_scale", "0", "must be positive and finite, got 0.0"),
+        ("graph", "huber_delta", "x", "expects null or a number, got 'x'"),
+        ("graph", "huber_delta", "true", "expects null or a number, got True"),
+        ("graph", "huber_delta", "0", "must be null or positive and finite, got 0.0"),
+        ("graph", "huber_delta", "-1.5", "must be null or positive and finite, got -1.5"),
+        ("graph", "huber_delta", "NaN", "must be null or positive and finite, got nan"),
+    ],
+)
+def test_pose_graph_weights_outside_their_range_exit_2(
+    section, key, value, detail, tmp_path, capsys
+):
+    # before, odom_sigma_t = 0 divided by zero and huber_delta = "x" failed
+    # on a str product inside optimize, each with a traceback and exit 1
+    message = f"[{section}] {key} {detail}"
+    path = tmp_path / "run.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(path), environ={})
+    commands = [
+        ["detect", "--log", str(tmp_path / "log.jsonl"), "--out", str(tmp_path / "loops")],
+        ["optimize", "--log", str(tmp_path / "log.jsonl"), "--loops", str(tmp_path / "loops"),
+         "--out", str(tmp_path / "traj.jsonl")],
+    ]
+    for argv in commands:
+        assert main(argv + ["--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value, expected", [("null", None), ("2", 2.0), ("0.25", 0.25)])
+def test_huber_delta_is_null_or_a_positive_number(value, expected, tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[graph]\nhuber_delta = {value}\n")
+    huber = load_config(str(path), environ={})["graph"]["huber_delta"]
+    assert huber == expected and type(huber) is type(expected)

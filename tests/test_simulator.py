@@ -1,23 +1,37 @@
 """Tests for the synthetic world generator and sensor simulation."""
 
+import re
+
 import numpy as np
 import pytest
 
 import one_row_lie
-from helpers import default_rig, placement_entity_pose
+import one_row_sim
+from helpers import ACCEPT_NOISE, default_rig, placement_entity_pose
 from textloop.entities import ExtractionParams, classify_text, compile_id_pattern, extract_entities
 from textloop.entities import TextCategory
-from textloop.geometry import OutOfRangeFactor, interpolate, stack_poses
+from textloop.geometry import (
+    CameraIntrinsics,
+    OutOfRangeFactor,
+    Pose,
+    interpolate,
+    relative_stacked,
+    stack_poses,
+)
 from textloop.simulator import (
     CAMERA_OFFSET,
     CONFUSABLE,
+    LIDAR_RANGE,
+    SCENARIOS,
     NoiseModel,
+    Placement,
     Wall,
     WaypointOutsideWorld,
     World,
     _camera_poses,
+    _clouds,
+    _detections,
     _misread,
-    _try_detect,
     build_world,
     default_route,
     route_poses,
@@ -281,21 +295,16 @@ def _per_frame_loops(result, noise, seed):
         increment = gt[k - 1].inverse() @ gt[k]
         twist = rng_odom.standard_normal(6) * noise.odom_sigma
         odom.append(odom[-1] @ increment @ one_row_lie.exp_map(twist))
-    cam_poses, camera = [], []
+    t_images, cam_poses = [], []
     for k in range(len(gt) - 1):
         t_image = float(stamps[k]) + CAMERA_OFFSET
         factor = (t_image - stamps[k]) / (stamps[k + 1] - stamps[k])
         motion = one_row_lie.interpolate(gt[k].inverse() @ gt[k + 1], factor)
-        cam_pose = gt[k] @ motion @ rig.camera_in_lidar
-        detections = []
-        for placement in result.world.placements:
-            det = _try_detect(
-                result.world, placement, cam_pose, rig.intrinsics, noise, rng_detect, t_image
-            )
-            if det is not None:
-                detections.append(det)
-        cam_poses.append(cam_pose)
-        camera.append((t_image, detections))
+        t_images.append(t_image)
+        cam_poses.append(gt[k] @ motion @ rig.camera_in_lidar)
+    camera = one_row_sim.camera(
+        result.world, t_images, cam_poses, rig.intrinsics, noise, rng_detect
+    )
     return odom, cam_poses, camera
 
 
@@ -339,3 +348,190 @@ def test_simulate_raises_when_an_image_stamp_leaves_its_frame_interval(rate):
     world = build_world("corridor", seed=0)
     with pytest.raises(OutOfRangeFactor):
         simulate(world, default_route("corridor", laps=1), default_rig(), rate=rate)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"max_range": np.nan}, "max_range must be non-negative, got nan"),
+        ({"max_range": -0.5}, "max_range must be non-negative, got -0.5"),
+        ({"max_incidence": np.nan}, "max_incidence must be non-negative, got nan"),
+        ({"max_incidence": -0.5}, "max_incidence must be non-negative, got -0.5"),
+        ({"odom_sigma": [0.0] * 5 + [np.nan]}, "noise sigmas must be non-negative"),
+        ({"bbox_jitter": np.nan}, "noise sigmas must be non-negative"),
+        ({"cloud_sigma": np.nan}, "noise sigmas must be non-negative"),
+        ({"cloud_sigma": -0.1}, "noise sigmas must be non-negative"),
+    ],
+)
+def test_noise_model_rejects_nan_or_negative_values(values, message):
+    # a NaN compares False, so it would turn a detection gate off
+    with pytest.raises(ValueError, match=re.escape(message)):
+        NoiseModel(**values)
+
+
+HEAVY_NOISE = NoiseModel(
+    odom_sigma=np.array([0.01] * 3 + [0.002] * 3),
+    detect_prob=0.7,
+    misread_prob=0.3,
+    bbox_jitter=2.0,
+    cloud_sigma=0.01,
+    max_range=11.0,
+    max_incidence=1.5,
+)
+ORACLE_NOISES = {"default": NoiseModel(), "demo": ACCEPT_NOISE, "heavy": HEAVY_NOISE}
+
+
+def _cloud_bits(clouds):
+    return [(c.shape, c.tobytes()) for c in clouds]
+
+
+@pytest.mark.parametrize("noise", ORACLE_NOISES.values(), ids=ORACLE_NOISES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_sensor_loops_match_one_row_oracle_bitwise(scenario, noise):
+    world = build_world(scenario, seed=3)
+    route = default_route(scenario, laps=1)
+    if scenario == "multifloor":
+        route = route[:9]  # the lower lap, the ramp and a side of the upper floor
+    result = simulate(world, route, default_rig(), noise, seed=3)
+    gt, rig = result.gt_poses, result.rig
+    clouds = one_row_sim.clouds(world, gt, noise, np.random.default_rng([3, 13]))
+    assert _cloud_bits(result.clouds) == _cloud_bits(clouds)
+    k = np.arange(len(gt) - 1)
+    steps = relative_stacked(*stack_poses(gt), k, k + 1)
+    t_images, cam_poses = _camera_poses(result.stamps, gt, steps, rig.camera_in_lidar)
+    camera = one_row_sim.camera(
+        world, t_images, cam_poses, rig.intrinsics, noise, np.random.default_rng([3, 17])
+    )
+    assert _detection_bits(result.camera) == _detection_bits(camera)
+    assert sum(len(dets) for _, dets in camera) > 0
+
+
+def _crossing(flips, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent floats between lo and hi on either side of where flips(x) changes."""
+    assert flips(lo) != flips(hi)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        if flips(mid) == flips(lo):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _floats_around(lo: float, hi: float, n: int = 3) -> list[float]:
+    """The 2n + 2 consecutive floats from n before lo to n after hi, lo and hi adjacent."""
+    ahead = np.inf if hi > lo else -np.inf
+    x = lo
+    for _ in range(n):
+        x = np.nextafter(x, -ahead)
+    out = []
+    for _ in range(2 * n + 2):
+        out.append(float(x))
+        x = np.nextafter(x, ahead)
+    return out
+
+
+# one sign facing +y, centered at (2, 0, 1.4), and cameras in front of it
+SIGN_WORLD = World(
+    walls=(Wall(start=[0.0, 0.0], end=[4.0, 0.0], z_min=0.0, z_max=3.0),),
+    placements=(Placement("A1-R01", TextCategory.ID, wall_index=0, offset=2.0, height=1.4),),
+)
+SIGN_CENTER = np.array([2.0, 0.0, 1.4])
+FACING_SIGN = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
+
+
+def _looking_at(position, target) -> Pose:
+    """Camera at position with its optical axis on target and its x axis level."""
+    forward = (target - position) / np.linalg.norm(target - position)
+    right = np.cross(forward, [0.0, 0.0, 1.0])
+    right /= np.linalg.norm(right)
+    return Pose(np.column_stack([right, np.cross(forward, right), forward]), position)
+
+
+WIDE = CameraIntrinsics(100.0, 100.0, 320.0, 240.0)
+# gate: (noise, intrinsics, camera pose at parameter s, an s inside, an s outside)
+GATE_FAMILIES = {
+    "max_range": (
+        NoiseModel(max_range=3.0),
+        None,
+        lambda s: _looking_at(SIGN_CENTER + [0.0, s, 0.0], SIGN_CENTER),
+        2.5,
+        3.5,
+    ),
+    "max_incidence": (
+        NoiseModel(max_incidence=1.0),
+        None,
+        lambda a: _looking_at(SIGN_CENTER + 3.0 * np.array([np.sin(a), np.cos(a), 0]), SIGN_CENTER),
+        0.8,
+        1.2,
+    ),
+    "corner_depth": (
+        NoiseModel(),
+        WIDE,
+        lambda s: Pose(FACING_SIGN, SIGN_CENTER + [0.0, s, 0.0]),
+        0.25,
+        0.15,
+    ),
+    "image_border_u": (
+        NoiseModel(),
+        None,
+        lambda s: Pose(FACING_SIGN, SIGN_CENTER + [s, 3.0, 0.0]),
+        0.0,
+        3.5,
+    ),
+    "image_border_v": (
+        NoiseModel(),
+        None,
+        lambda s: Pose(FACING_SIGN, SIGN_CENTER + [0.0, 3.0, s]),
+        0.0,
+        2.4,
+    ),
+}
+
+
+@pytest.mark.parametrize("gate", GATE_FAMILIES)
+def test_pre_gate_keeps_every_pair_at_a_detection_gate_boundary(gate):
+    # cameras a few ulps either side of the bound: those inside draw from
+    # the rng, those outside do not, and the pre-gate must keep the first
+    noise, intrinsics, pose_at, inside, outside = GATE_FAMILIES[gate]
+    intrinsics = intrinsics or default_rig().intrinsics
+
+    def draws(s):
+        rng = np.random.default_rng(0)
+        one_row_sim.camera(SIGN_WORLD, [0.0], [pose_at(s)], intrinsics, noise, rng)
+        return rng.bit_generator.state != np.random.default_rng(0).bit_generator.state
+
+    family = _floats_around(*_crossing(draws, inside, outside))
+    assert len(set(map(draws, family))) == 2
+    poses = [pose_at(s) for s in family]
+    t_images = [0.1 * k for k in range(len(poses))]
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = _detections(SIGN_WORLD, t_images, poses, intrinsics, noise, got_rng)
+    want = one_row_sim.camera(SIGN_WORLD, t_images, poses, intrinsics, noise, want_rng)
+    assert _detection_bits(got) == _detection_bits(want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_lidar_masks_match_one_row_oracle_at_range_and_facing_boundaries():
+    # sensors placed so that one grid point sits a few ulps either side of
+    # LIDAR_RANGE, from a spread of directions; then sensors a few ulps
+    # either side of a wall's plane, where its points stop facing them
+    world = build_world("corridor", seed=0)
+    points, normals = wall_point_grid(world)
+    rng = np.random.default_rng(4)
+    positions = []
+    for k in rng.choice(len(points), size=40, replace=False):
+        direction = normals[k] + [*rng.uniform(-0.3, 0.3, size=2), rng.uniform(-0.15, 0.15)]
+        direction /= np.linalg.norm(direction)
+
+        def outside(s, k=k, direction=direction):
+            rel = points[k : k + 1] - (points[k] + s * direction)
+            return bool(np.linalg.norm(rel, axis=1)[0] > LIDAR_RANGE)
+
+        family = _floats_around(*_crossing(outside, 8.5, 9.5))
+        positions += [points[k] + s * direction for s in family]
+    # the outer wall from (0, 0) to (30, 0) lies in the plane y = 0
+    positions += [np.array([6.0, s, 1.2]) for s in _floats_around(0.0, 5e-324)]
+    gt = [Pose(np.eye(3), position) for position in positions]
+    got = _clouds(world, gt, NoiseModel(), np.random.default_rng(0))
+    want = one_row_sim.clouds(world, gt, NoiseModel(), np.random.default_rng(0))
+    assert _cloud_bits(got) == _cloud_bits(want)
