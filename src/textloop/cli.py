@@ -180,8 +180,21 @@ def optimize_trajectory(odom_poses, constraints, config: PipelineConfig):
     return graph.nodes, report
 
 
+def _information_diagonal(value) -> list[float]:
+    """Six positive finite JSON numbers; a boolean is a TypeError, not 1.0."""
+    if not isinstance(value, list) or len(value) != 6:
+        raise TypeError(f"expected a list of six numbers, got {value!r}")
+    diagonal = [json_finite(x) for x in value]
+    if min(diagonal) <= 0.0:
+        raise ValueError(f"expected positive numbers, got {diagonal}")
+    return diagonal
+
+
 def _load_loops(path, n_poses: int) -> list[LoopConstraint]:
-    """Loop records whose frames are integers with 0 <= j < i < n_poses."""
+    """Loop records whose frames are integers with 0 <= j < i < n_poses.
+
+    The information diagonal must be six positive finite numbers.
+    """
     constraints = []
     with open(path, "r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, start=1):
@@ -194,6 +207,7 @@ def _load_loops(path, n_poses: int) -> list[LoopConstraint]:
                 raise LogFormatError(f"line {number}: bad loop record ({exc})") from exc
             i = parse_field(obj, "i", json_int, number)
             j = parse_field(obj, "j", json_int, number)
+            parse_field(obj, "info_diag", _information_diagonal, number)
             if not 0 <= j < i < n_poses:
                 raise LogFormatError(
                     f"line {number}: loop ({i}, {j}) outside the {n_poses} poses of the trajectory"

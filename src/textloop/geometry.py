@@ -25,10 +25,6 @@ class GeometryError(ValueError):
     """Base class for geometric precondition violations."""
 
 
-class NonPositiveDepth(GeometryError):
-    """Point is at or behind the camera plane."""
-
-
 class RayParallelToPlane(GeometryError):
     """Viewing ray never meets the plane."""
 
@@ -283,24 +279,11 @@ class PixelPoint:
     u: float
     v: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v])
-
-
-def project(
-    intrinsics: CameraIntrinsics, point: np.ndarray, depth_epsilon: float = DEPTH_EPSILON
-) -> PixelPoint:
-    """Project a camera-frame point to pixels.  Raises NonPositiveDepth for z <= epsilon."""
-    x, y, z = np.asarray(point, dtype=float)
-    if z <= depth_epsilon:
-        raise NonPositiveDepth(f"depth {z} not above {depth_epsilon}")
-    return PixelPoint(intrinsics.fx * x / z + intrinsics.cx, intrinsics.fy * y / z + intrinsics.cy)
-
 
 def project_array(
     intrinsics: CameraIntrinsics, points: np.ndarray, depth_epsilon: float = DEPTH_EPSILON
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection.
+    """Project (N, 3) camera-frame points to pixels.
 
     Returns (uv, valid): uv is (N, 2) with rows undefined where valid is False,
     valid marks points with z > depth_epsilon.

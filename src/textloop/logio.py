@@ -114,7 +114,7 @@ def read_log(path, *, skip_clouds: bool = False):
             if not isinstance(payload, dict) or "type" not in payload:
                 raise LogFormatError(f"line {number}: record must be an object with a type")
             kind = payload["type"]
-            required = _REQUIRED_FIELDS.get(kind)
+            required = _REQUIRED_FIELDS.get(kind) if isinstance(kind, str) else None
             if required is None:
                 raise LogFormatError(f"line {number}: unknown record type {kind!r}")
             for fieldname in required:
@@ -135,6 +135,13 @@ def json_int(value) -> int:
     """A JSON integer as is; a float or a boolean is a TypeError, not truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_str(value) -> str:
+    """A JSON string as is; any other value is a TypeError, not converted."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
     return value
 
 
@@ -188,12 +195,15 @@ def parse_cloud(payload: dict, line: int) -> np.ndarray:
 
 
 def parse_detections(payload: dict, line: int) -> list[TextDetection]:
+    entries = payload["detections"]
+    if not isinstance(entries, list):
+        raise LogFormatError(f"line {line}: detections must be a list, got {entries!r}")
     out = []
-    for entry in payload["detections"]:
+    for entry in entries:
         try:
             out.append(
                 TextDetection(
-                    content=entry["text"],
+                    content=json_str(entry["text"]),
                     confidence=json_finite(entry["conf"]),
                     quad=np.asarray(entry["quad"], dtype=float),
                     timestamp=json_finite(payload["t"]),

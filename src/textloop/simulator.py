@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -19,9 +18,11 @@ from .entities import CalibratedRig, TextCategory, TextDetection
 from .geometry import (
     OutOfRangeFactor,
     Pose,
+    _norm_stacked,
+    compose_stacked,
     exp_map_stacked,
+    inverse_stacked,
     log_map_stacked,
-    project,
     relative_stacked,
     stack_poses,
 )
@@ -42,14 +43,10 @@ FLOOR_SPACING = 4.0
 # a detection needs every quad corner this far in front of the camera
 MIN_CORNER_DEPTH = 0.2
 
-# images per camera pre-gate call: smaller chunks pay more call overhead;
-# all images at once fragments the heap around the kept clouds, which
-# raises peak RSS
+# images per stacked detection-gate call: smaller chunks pay more call
+# overhead; all images at once fragments the heap around the kept clouds,
+# which raises peak RSS
 GATE_CHUNK = 32
-# how far the camera pre-gate widens each of _try_detect's bounds, in m and
-# rad, and in pixels: far above the rounding of either computation
-GATE_MARGIN = 1e-6
-GATE_MARGIN_PX = 1e-3
 
 SCENARIOS = ("corridor", "semi_outdoor", "multifloor")
 
@@ -486,48 +483,14 @@ def _misread(content: str, rng) -> str:
     return content[:k] + CONFUSABLE[content[k]] + content[k + 1 :]
 
 
-def _try_detect(world, placement, cam_pose, intrinsics, noise, rng, t_image):
-    center = world.placement_center(placement)
-    normal = world.walls[placement.wall_index].normal3()
-    cam_position = cam_pose.translation
-    to_cam = cam_position - center
-    distance = float(np.linalg.norm(to_cam))
-    if distance > noise.max_range or distance < 1e-6:
-        return None
-    cos_incidence = float(normal @ to_cam) / distance
-    if cos_incidence <= 0.0 or np.arccos(min(cos_incidence, 1.0)) > noise.max_incidence:
-        return None
-    if abs(center[2] - cam_position[2]) > SLAB_WINDOW:
-        return None
-    corners_cam = cam_pose.inverse().apply(world.placement_corners(placement))
-    if np.any(corners_cam[:, 2] < MIN_CORNER_DEPTH):
-        return None
-    quad = np.array([project(intrinsics, c).as_array() for c in corners_cam])
-    if (
-        quad[:, 0].min() < 0.0
-        or quad[:, 0].max() > 2.0 * intrinsics.cx
-        or quad[:, 1].min() < 0.0
-        or quad[:, 1].max() > 2.0 * intrinsics.cy
-    ):
-        return None
-    p = noise.detect_prob * max(0.0, 1.0 - distance / noise.max_range) * cos_incidence
-    if rng.random() >= p:
-        return None
-    content = placement.content
-    if noise.misread_prob > 0.0 and rng.random() < noise.misread_prob:
-        content = _misread(content, rng)
-    if noise.bbox_jitter > 0.0:
-        quad = quad + noise.bbox_jitter * rng.standard_normal((4, 2))
-    confidence = 1.0 - 0.15 * min(1.0, distance / noise.max_range)
-    return TextDetection(content=content, confidence=confidence, quad=quad, timestamp=t_image)
+def _camera_poses(stamps, poses, steps, camera_in_lidar):
+    """Image stamps CAMERA_OFFSET after each frame but the last, and the camera poses there.
 
-
-def _camera_poses(stamps, gt, steps, camera_in_lidar):
-    """Image stamps CAMERA_OFFSET after each frame but the last, and an iterator of camera poses.
-
-    The LiDAR pose at an image stamp interpolates its frame's step to the next
-    (steps, stacked) along the geodesic.  A stamp outside its frame interval
-    raises OutOfRangeFactor before any pose is made.
+    poses are the LiDAR frames and steps each frame's motion to the next,
+    both stacked; so are the camera poses returned.  The LiDAR pose at an
+    image stamp interpolates its frame's step along the geodesic.  A stamp
+    outside its frame interval raises OutOfRangeFactor before any pose is
+    made.
     """
     t_images = stamps[:-1] + CAMERA_OFFSET
     factors = (t_images - stamps[:-1]) / (stamps[1:] - stamps[:-1])
@@ -535,75 +498,93 @@ def _camera_poses(stamps, gt, steps, camera_in_lidar):
     if outside.any():
         raise OutOfRangeFactor(f"interpolation factor {factors[outside][0]} outside [0, 1]")
     motions = exp_map_stacked(factors[:, None] * log_map_stacked(*steps))
-    cam_poses = (pose @ Pose(r, t) @ camera_in_lidar for pose, r, t in zip(gt, *motions))
-    return t_images.tolist(), cam_poses
+    rotations, translations = poses
+    lidar = compose_stacked(rotations[:-1], translations[:-1], *motions)
+    camera = compose_stacked(*lidar, camera_in_lidar.rotation, camera_in_lidar.translation)
+    return t_images.tolist(), camera
 
 
-def _in_view(rotations, translations, centers, normals, corners, intrinsics, noise):
-    """(images, placements) mask, False only where _try_detect surely returns None.
+def _sightings(rotations, translations, centers, normals, corners, intrinsics, noise):
+    """(distance, cos_incidence, quads, seen) of each (image, placement) pair.
 
     Camera poses come stacked, placements as (P, 3) centers and normals and
-    (P, 4, 3) corners.  These are _try_detect's range, incidence, slab,
-    corner-depth and image-border gates in stacked arithmetic, which rounds
-    differently from its one-pair arithmetic; so each bound is widened by
-    GATE_MARGIN or GATE_MARGIN_PX, and a NaN, which compares False, keeps
-    its pair.
+    (P, 4, 3) corners.  seen is True where the pair passes the range,
+    incidence, slab, corner-depth and image-border gates.  Each value has
+    the bits of the one-pair arithmetic: distance and normal . to_cam are
+    the 1-D dot products of np.linalg.norm and @, taken through matmul; the
+    corners go through Pose.inverse().apply's products, with its layouts;
+    and pixels are elementwise.  The gates compare as the one-pair model
+    did, so a NaN, which compares False, passes them, and a NaN pixel
+    passes the border through min and max.
     """
     to_cam = translations[:, None, :] - centers
-    distance = np.sqrt(np.sum(to_cam * to_cam, axis=-1))
+    distance = _norm_stacked(to_cam)
+    rot_inv, trans_inv = inverse_stacked(rotations, translations)
+    cam = corners @ np.swapaxes(rot_inv, -1, -2)[:, None] + trans_inv[:, None, None, :]
+    depth = cam[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_incidence = np.sum(normals * to_cam, axis=-1) / distance
-        # corners in each camera frame, R^T (c - t), as rows (c - t) R
-        cam = (corners - translations[:, None, None, :]) @ rotations[:, None]
-        depth = cam[..., 2]
-        u = intrinsics.fx * cam[..., 0] / depth + intrinsics.cx
-        v = intrinsics.fy * cam[..., 1] / depth + intrinsics.cy
-    # _try_detect also needs cos_incidence > 0, i.e. an angle below pi / 2
-    incidence = np.arccos(np.clip(cos_incidence, -1.0, 1.0))
-    max_incidence = min(noise.max_incidence, np.pi / 2)
-    # a pair with a corner too near or behind the camera is out on depth,
-    # whatever its pixels are, so a division by a zero depth decides nothing
-    outside = (
-        (u < -GATE_MARGIN_PX)
-        | (u > 2.0 * intrinsics.cx + GATE_MARGIN_PX)
-        | (v < -GATE_MARGIN_PX)
-        | (v > 2.0 * intrinsics.cy + GATE_MARGIN_PX)
-    )
+        cos_incidence = (normals[:, None, :] @ to_cam[..., None])[..., 0, 0] / distance
+        incidence = np.arccos(np.minimum(cos_incidence, 1.0))
+        quads = np.stack(
+            [
+                intrinsics.fx * cam[..., 0] / depth + intrinsics.cx,
+                intrinsics.fy * cam[..., 1] / depth + intrinsics.cy,
+            ],
+            axis=-1,
+        )
+    lo, hi = quads.min(axis=-2), quads.max(axis=-2)
     out = (
-        (distance > noise.max_range + GATE_MARGIN)
-        | (incidence > max_incidence + GATE_MARGIN)
-        | (np.abs(centers[:, 2] - translations[:, None, 2]) > SLAB_WINDOW + GATE_MARGIN)
-        | (depth < MIN_CORNER_DEPTH - GATE_MARGIN).any(axis=-1)
-        | outside.any(axis=-1)
+        (distance > noise.max_range)
+        | (distance < 1e-6)
+        | (cos_incidence <= 0.0)
+        | (incidence > noise.max_incidence)
+        | (np.abs(centers[:, 2] - translations[:, None, 2]) > SLAB_WINDOW)
+        | (depth < MIN_CORNER_DEPTH).any(axis=-1)
+        | (lo < 0.0).any(axis=-1)
+        | (hi[..., 0] > 2.0 * intrinsics.cx)
+        | (hi[..., 1] > 2.0 * intrinsics.cy)
     )
-    return ~out
+    return distance, cos_incidence, quads, ~out
 
 
 def _detections(world, t_images, cam_poses, intrinsics, noise, rng):
-    """(t_image, detections) per image: _try_detect on every pair _in_view keeps.
+    """(t_image, detections) per image, from stacked camera poses.
 
-    Pairs go in image order, then placement order, as if _try_detect ran
-    on every pair.  That is exact: _try_detect draws from rng only after
-    all its geometric gates have passed, so a pair the pre-gate drops would
-    have returned None without a draw.
+    The geometric gates run stacked, GATE_CHUNK images at a time (see
+    _sightings); only the draws go pair by pair, in image order, then
+    placement order, and only for pairs that passed every gate: detect,
+    misread, jitter.
     """
     placements = world.placements
     centers = np.array([world.placement_center(p) for p in placements]).reshape(-1, 3)
     normals = np.array([world.walls[p.wall_index].normal3() for p in placements]).reshape(-1, 3)
     corners = np.array([world.placement_corners(p) for p in placements]).reshape(-1, 4, 3)
+    rotations, translations = cam_poses
     camera = []
-    images = zip(t_images, cam_poses)
-    while chunk := list(islice(images, GATE_CHUNK)):
-        stamps, poses = zip(*chunk)
-        kept = _in_view(*stack_poses(poses), centers, normals, corners, intrinsics, noise)
-        for t_image, cam_pose, row in zip(stamps, poses, kept):
+    for start in range(0, len(t_images), GATE_CHUNK):
+        chunk = slice(start, start + GATE_CHUNK)
+        distance, cos_incidence, quads, seen = _sightings(
+            rotations[chunk], translations[chunk], centers, normals, corners, intrinsics, noise
+        )
+        for row, t_image in enumerate(t_images[chunk]):
             detections = []
-            for index in np.flatnonzero(row):
-                det = _try_detect(
-                    world, placements[index], cam_pose, intrinsics, noise, rng, t_image
+            for index in np.flatnonzero(seen[row]):
+                d, cos = float(distance[row, index]), float(cos_incidence[row, index])
+                p = noise.detect_prob * max(0.0, 1.0 - d / noise.max_range) * cos
+                if rng.random() >= p:
+                    continue
+                content = placements[index].content
+                if noise.misread_prob > 0.0 and rng.random() < noise.misread_prob:
+                    content = _misread(content, rng)
+                quad = quads[row, index].copy()
+                if noise.bbox_jitter > 0.0:
+                    quad = quad + noise.bbox_jitter * rng.standard_normal((4, 2))
+                confidence = 1.0 - 0.15 * min(1.0, d / noise.max_range)
+                detections.append(
+                    TextDetection(
+                        content=content, confidence=confidence, quad=quad, timestamp=t_image
+                    )
                 )
-                if det is not None:
-                    detections.append(det)
             camera.append((t_image, detections))
     return camera
 
@@ -653,16 +634,11 @@ def simulate(
     and one (image, placement) pair at a time (tests/one_row_sim.py):
       - each LiDAR mask keeps the rounding of the (N, 3) arithmetic, see
         _clouds;
-      - _try_detect is the one detection model, and a stacked pre-gate,
-        _in_view, only spares it the pairs that surely fail one of its
-        geometric gates.  _try_detect draws from rng_detect only after all
-        those gates have passed, so a pair the pre-gate drops would have
-        returned None without a draw: detections and rng stream are those
-        of every pair.  "Surely" holds because each pre-gate bound is
-        widened by GATE_MARGIN (1e-6 m or rad) or GATE_MARGIN_PX (1e-3 px),
-        while the two computations differ by rounding: at most 4e-15 m,
-        5e-15 rad and 2e-12 px on the shipped scenarios, and about 1e-8
-        rad near a zero incidence, where arccos magnifies it.
+      - _detections is the one detection model.  It computes every pair's
+        geometric gates stacked, with the one-pair arithmetic and
+        comparisons, so no pair is kept or dropped by rounding.  It draws
+        from rng_detect only for the pairs that pass every gate, in image
+        order, then placement order, as the one-pair loop did.
     """
     lo, hi, z_lo, z_hi = world.bounds()
     for waypoint in np.asarray(route, dtype=float).reshape(-1, 3):
@@ -677,9 +653,10 @@ def simulate(
     rng_cloud = np.random.default_rng([seed, 13])
     rng_detect = np.random.default_rng([seed, 17])
 
+    poses = stack_poses(gt)
     k = np.arange(len(gt) - 1)
-    steps = relative_stacked(*stack_poses(gt), k, k + 1)
-    t_images, cam_poses = _camera_poses(stamps, gt, steps, rig.camera_in_lidar)
+    steps = relative_stacked(*poses, k, k + 1)
+    t_images, cam_poses = _camera_poses(stamps, poses, steps, rig.camera_in_lidar)
     if np.any(noise.odom_sigma > 0.0):
         twists = rng_odom.standard_normal((len(gt) - 1, 6)) * noise.odom_sigma
         odom = [gt[0]]

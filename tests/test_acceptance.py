@@ -38,7 +38,7 @@ from textloop.geometry import (
     exp_map,
     interpolate,
     log_map,
-    project,
+    project_array,
 )
 from textloop.loop_closure import DetectorState, process_frame
 from textloop.simulator import (
@@ -70,8 +70,8 @@ def test_geometry_round_trips_within_tolerance_and_time_budget():
         pixel = PixelPoint(float(rng.uniform(50, 590)), float(rng.uniform(50, 430)))
         point = backproject(intrinsics, plane, pixel)
         assert abs(point @ plane.normal + plane.offset) < 1e-9
-        again = project(intrinsics, point)
-        assert abs(again.u - pixel.u) < 1e-7 and abs(again.v - pixel.v) < 1e-7
+        u, v = project_array(intrinsics, point)[0][0]
+        assert abs(u - pixel.u) < 1e-7 and abs(v - pixel.v) < 1e-7
 
     for _ in range(1000):
         pose = random_pose(rng, max_angle=3.0)

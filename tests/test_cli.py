@@ -226,6 +226,18 @@ def test_non_integer_loop_frame_exits_2(key, value, tmp_path, capsys):
         assert f"error: line 1: bad {key} value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry", [-1.0, 0.0, True, float("nan"), float("inf")], ids=str
+)
+def test_bad_information_diagonal_exits_2(entry, tmp_path, capsys):
+    record = _loop_record(2, 0)
+    record["info_diag"][3] = entry
+    traj, loops = _three_pose_run(tmp_path, record)
+    for argv in _optimize_and_evaluate(traj, loops, tmp_path):
+        assert main(argv) == 2
+        assert "error: line 1: bad info_diag value" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["gate_generic_with_icp", "refine_poses", "exact_cutoff"])
 def test_removed_detect_keys_are_unknown(key, tmp_path, capsys, monkeypatch):
     config = tmp_path / "run.ini"

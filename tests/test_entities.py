@@ -30,7 +30,7 @@ from textloop.entities import (
     points_in_region,
     pose_at_image_time,
 )
-from textloop.geometry import CameraIntrinsics, PlaneParams, Pose, project, project_array
+from textloop.geometry import CameraIntrinsics, PlaneParams, Pose, project_array
 
 K100 = CameraIntrinsics(fx=100.0, fy=100.0, cx=0.0, cy=0.0)
 # classification runs on normalized (uppercased) content
@@ -117,7 +117,7 @@ def test_points_in_region_matches_convex_oracle():
         ]
     )
     kept = points_in_region(pts, K100, quad)
-    expected = [p for p in pts if _inside_convex(*(project(K100, p).as_array()))]
+    expected = [p for p, uv in zip(pts, project_array(K100, pts)[0]) if _inside_convex(*uv)]
     np.testing.assert_allclose(kept, np.asarray(expected).reshape(-1, 3), atol=1e-12)
 
 
@@ -167,7 +167,7 @@ def _rect_quad_on_plane(intrinsics, origin, x_axis, y_axis, width, height):
         top_left + x_axis * width - y_axis * height,
         top_left - y_axis * height,
     ]
-    return np.array([project(intrinsics, c).as_array() for c in corners3d]), corners3d
+    return project_array(intrinsics, corners3d)[0], corners3d
 
 
 def test_make_entity_pose_head_on():
@@ -273,7 +273,7 @@ def _quad_for_rect(center_x, width, height, cam_x, depth=5.0):
     top = -height / 2
     bottom = height / 2
     corners = [[left, top, depth], [right, top, depth], [right, bottom, depth], [left, bottom, depth]]
-    return np.array([project(K100, c).as_array() for c in corners])
+    return project_array(K100, corners)[0]
 
 
 def test_extract_entities_end_to_end():

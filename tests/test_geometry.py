@@ -11,7 +11,6 @@ from textloop.geometry import (
     CameraIntrinsics,
     NearPiRotation,
     NegativeDepth,
-    NonPositiveDepth,
     OutOfRangeFactor,
     PixelPoint,
     PlaneParams,
@@ -29,7 +28,6 @@ from textloop.geometry import (
     interpolate,
     log_map,
     log_map_stacked,
-    project,
     project_array,
     quaternion_to_rotation,
     rotation_to_quaternion,
@@ -64,15 +62,8 @@ def _yaw_pose() -> Pose:
 
 
 def test_project_center_pixel():
-    px = project(IDENTITY_K, [0.0, 0.0, 5.0])
-    assert px.u == 0.0 and px.v == 0.0
-
-
-def test_project_rejects_non_positive_depth():
-    with pytest.raises(NonPositiveDepth):
-        project(IDENTITY_K, [0.0, 0.0, 0.0])
-    with pytest.raises(NonPositiveDepth):
-        project(IDENTITY_K, [1.0, 1.0, -2.0])
+    uv, valid = project_array(IDENTITY_K, [0.0, 0.0, 5.0])
+    assert valid.tolist() == [True] and uv.tolist() == [[0.0, 0.0]]
 
 
 def test_depth_from_plane_head_on():
@@ -99,8 +90,8 @@ def test_backproject_lands_on_plane():
         except (RayParallelToPlane, NegativeDepth):
             continue
         assert abs(point @ plane.normal + plane.offset) < 1e-9
-        reproj = project(intr, point)
-        assert abs(reproj.u - pixel.u) < 1e-7 and abs(reproj.v - pixel.v) < 1e-7
+        u, v = project_array(intr, point)[0][0]
+        assert abs(u - pixel.u) < 1e-7 and abs(v - pixel.v) < 1e-7
 
 
 def test_depth_from_plane_parallel_ray():
@@ -119,11 +110,13 @@ def test_project_array_matches_scalar():
     rng = np.random.default_rng(11)
     intr = CameraIntrinsics(fx=400.0, fy=400.0, cx=320.0, cy=240.0)
     pts = rng.uniform(-1.0, 1.0, size=(50, 3)) + [0.0, 0.0, 4.0]
+    # a point on the camera plane and one behind it are not projected
+    pts[7, 2], pts[31, 2] = 0.0, -2.0
     uv, valid = project_array(intr, pts)
-    assert valid.all()
-    for i in range(len(pts)):
-        px = project(intr, pts[i])
-        np.testing.assert_allclose(uv[i], [px.u, px.v], atol=1e-12)
+    assert np.flatnonzero(~valid).tolist() == [7, 31]
+    for i in np.flatnonzero(valid):
+        x, y, z = (float(c) for c in pts[i])
+        assert uv[i].tolist() == [400.0 * x / z + 320.0, 400.0 * y / z + 240.0]
 
 
 def test_exp_map_pure_yaw():

@@ -495,3 +495,21 @@ def test_bad_detection_confidence_exits_2(value, tmp_path, capsys):
     path = _sensor_log(tmp_path, (6, "detections", 0, "conf"), value)
     assert main(["detect", "--log", path, "--out", str(tmp_path / "loops.jsonl")]) == 2
     assert "error: line 6: bad detection entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key_path, value, message",
+    [
+        ((2, "type"), ["odom"], "line 2: unknown record type ['odom']"),
+        ((6, "detections"), 5, "line 6: detections must be a list, got 5"),
+        ((6, "detections"), None, "line 6: detections must be a list, got None"),
+        ((6, "detections", 0, "text"), 7, "line 6: bad detection entry (expected a string, got 7)"),
+        ((6, "detections", 0, "text"), None, "line 6: bad detection entry"),
+    ],
+    ids=["odom-type-list", "detections-number", "detections-null", "text-number", "text-null"],
+)
+def test_mistyped_sensor_field_exits_2(key_path, value, message, tmp_path, capsys):
+    path = _sensor_log(tmp_path, key_path, value)
+    assert main(["detect", "--log", path, "--out", str(tmp_path / "loops.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1

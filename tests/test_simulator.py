@@ -316,6 +316,10 @@ def _first_pose_that_differs(got, expected):
     return None
 
 
+def _unstack(poses) -> list:
+    return [Pose(r, t) for r, t in zip(*poses)]
+
+
 def _detection_bits(camera):
     return [
         (t, [(d.content, d.confidence, d.quad.tobytes(), d.timestamp) for d in dets])
@@ -334,8 +338,10 @@ def test_stacked_odometry_and_camera_poses_match_per_frame_loops_bitwise():
     assert k is None, f"odom pose {k} of {len(odom)} differs from the per-frame loop"
     gt = result.gt_poses
     steps = stack_poses([gt[k].inverse() @ gt[k + 1] for k in range(len(gt) - 1)])
-    t_images, stacked = _camera_poses(result.stamps, gt, steps, result.rig.camera_in_lidar)
-    k = _first_pose_that_differs(list(stacked), cam_poses)
+    t_images, stacked = _camera_poses(
+        result.stamps, stack_poses(gt), steps, result.rig.camera_in_lidar
+    )
+    k = _first_pose_that_differs(_unstack(stacked), cam_poses)
     assert k is None, f"camera pose {k} of {len(cam_poses)} differs from the per-frame loop"
     assert t_images == [t for t, _ in camera]
     assert _detection_bits(result.camera) == _detection_bits(camera)
@@ -396,13 +402,18 @@ def test_sensor_loops_match_one_row_oracle_bitwise(scenario, noise):
     gt, rig = result.gt_poses, result.rig
     clouds = one_row_sim.clouds(world, gt, noise, np.random.default_rng([3, 13]))
     assert _cloud_bits(result.clouds) == _cloud_bits(clouds)
+    poses = stack_poses(gt)
     k = np.arange(len(gt) - 1)
-    steps = relative_stacked(*stack_poses(gt), k, k + 1)
-    t_images, cam_poses = _camera_poses(result.stamps, gt, steps, rig.camera_in_lidar)
+    steps = relative_stacked(*poses, k, k + 1)
+    t_images, cam_poses = _camera_poses(result.stamps, poses, steps, rig.camera_in_lidar)
+    got_rng, want_rng = np.random.default_rng([3, 17]), np.random.default_rng([3, 17])
+    got = _detections(world, t_images, cam_poses, rig.intrinsics, noise, got_rng)
     camera = one_row_sim.camera(
-        world, t_images, cam_poses, rig.intrinsics, noise, np.random.default_rng([3, 17])
+        world, t_images, _unstack(cam_poses), rig.intrinsics, noise, want_rng
     )
     assert _detection_bits(result.camera) == _detection_bits(camera)
+    assert _detection_bits(got) == _detection_bits(camera)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert sum(len(dets) for _, dets in camera) > 0
 
 
@@ -464,6 +475,13 @@ GATE_FAMILIES = {
         0.8,
         1.2,
     ),
+    "slab": (
+        NoiseModel(),
+        WIDE,
+        lambda s: _looking_at(SIGN_CENTER + [0.0, 3.0, s], SIGN_CENTER),
+        2.0,
+        3.0,
+    ),
     "corner_depth": (
         NoiseModel(),
         WIDE,
@@ -485,13 +503,28 @@ GATE_FAMILIES = {
         0.0,
         2.4,
     ),
+    "image_border_u_low": (
+        NoiseModel(),
+        None,
+        lambda s: Pose(FACING_SIGN, SIGN_CENTER + [s, 3.0, 0.0]),
+        0.0,
+        -3.5,
+    ),
+    "image_border_v_low": (
+        NoiseModel(),
+        None,
+        lambda s: Pose(FACING_SIGN, SIGN_CENTER + [0.0, 3.0, s]),
+        0.0,
+        -2.4,
+    ),
 }
 
 
 @pytest.mark.parametrize("gate", GATE_FAMILIES)
 def test_pre_gate_keeps_every_pair_at_a_detection_gate_boundary(gate):
     # cameras a few ulps either side of the bound: those inside draw from
-    # the rng, those outside do not, and the pre-gate must keep the first
+    # the rng, those outside do not, and the stacked gates must pass
+    # exactly the first
     noise, intrinsics, pose_at, inside, outside = GATE_FAMILIES[gate]
     intrinsics = intrinsics or default_rig().intrinsics
 
@@ -505,7 +538,7 @@ def test_pre_gate_keeps_every_pair_at_a_detection_gate_boundary(gate):
     poses = [pose_at(s) for s in family]
     t_images = [0.1 * k for k in range(len(poses))]
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = _detections(SIGN_WORLD, t_images, poses, intrinsics, noise, got_rng)
+    got = _detections(SIGN_WORLD, t_images, stack_poses(poses), intrinsics, noise, got_rng)
     want = one_row_sim.camera(SIGN_WORLD, t_images, poses, intrinsics, noise, want_rng)
     assert _detection_bits(got) == _detection_bits(want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
