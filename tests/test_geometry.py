@@ -66,6 +66,11 @@ def test_project_center_pixel():
     assert valid.tolist() == [True] and uv.tolist() == [[0.0, 0.0]]
 
 
+def test_project_rejects_non_positive_depth():
+    _, valid = project_array(IDENTITY_K, [[0.0, 0.0, 0.0], [1.0, 1.0, -2.0]])
+    assert valid.tolist() == [False, False]
+
+
 def test_depth_from_plane_head_on():
     assert depth_from_plane(IDENTITY_K, WALL_PLANE, PixelPoint(0.0, 0.0)) == pytest.approx(5.0)
 
