@@ -20,7 +20,7 @@ from . import __version__
 from .config import ConfigError, PipelineConfig, load_config
 from .entities import ExtractionError, extract_entities
 from .evaluation import LengthMismatch, label_loop_poses, make_report
-from .geometry import GeometryError, OutOfRangeFactor, stack_poses
+from .geometry import GeometryError, OutOfRangeFactor, Pose, stack_poses
 from .logio import (
     LogFormatError,
     json_finite,
@@ -190,10 +190,22 @@ def _information_diagonal(value) -> list[float]:
     return diagonal
 
 
+def _check_loop_pose(value) -> None:
+    """t three and q four finite JSON numbers, q nonzero; a boolean is a TypeError."""
+    for key, size in (("t", 3), ("q", 4)):
+        if not isinstance(value[key], list) or len(value[key]) != size:
+            raise TypeError(f"{key} expects a list of {size} numbers, got {value[key]!r}")
+        for x in value[key]:
+            json_finite(x)
+    # a GeometryError, a ValueError, for a zero q
+    Pose.from_json(value)
+
+
 def _load_loops(path, n_poses: int) -> list[LoopConstraint]:
     """Loop records whose frames are integers with 0 <= j < i < n_poses.
 
-    The information diagonal must be six positive finite numbers.
+    The pose must be finite with a nonzero q, and the information diagonal
+    six positive finite numbers.
     """
     constraints = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -202,8 +214,16 @@ def _load_loops(path, n_poses: int) -> list[LoopConstraint]:
                 continue
             try:
                 obj = json.loads(raw)
+                pose = obj["pose"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise LogFormatError(f"line {number}: bad loop record ({exc})") from exc
+            try:
+                _check_loop_pose(pose)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise LogFormatError(f"line {number}: bad loop pose ({exc})") from exc
+            try:
                 constraint = LoopConstraint.from_json(obj)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise LogFormatError(f"line {number}: bad loop record ({exc})") from exc
             i = parse_field(obj, "i", json_int, number)
             j = parse_field(obj, "j", json_int, number)

@@ -183,6 +183,20 @@ class PipelineConfig:
         ):
             if not 0.0 < edges[key] < math.inf:
                 raise ConfigError(f"[edges] {key} must be positive and finite, got {edges[key]}")
+        # outside these ranges ICP never converges or never accepts, and
+        # detect would exit 0 with no constraints
+        icp = merged["icp"]
+        for key in ("tolerance", "max_correspondence"):
+            if not 0.0 < icp[key] < math.inf:
+                raise ConfigError(f"[icp] {key} must be positive and finite, got {icp[key]}")
+        if not 0.0 <= icp["min_fitness"] <= 1.0:
+            raise ConfigError(f"[icp] min_fitness must lie in [0, 1], got {icp['min_fitness']}")
+        if not icp["max_rms"] >= 0.0:
+            raise ConfigError(f"[icp] max_rms must be non-negative, got {icp['max_rms']}")
+        if icp["max_iterations"] < 1:
+            raise ConfigError(
+                f"[icp] max_iterations must be at least 1, got {icp['max_iterations']}"
+            )
         huber = merged["graph"]["huber_delta"]
         if huber is not None and not 0.0 < huber < math.inf:
             raise ConfigError(

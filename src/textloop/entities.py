@@ -199,17 +199,20 @@ def points_in_region(
     the test's 1e-9 px boundary tolerance, as long as rounding at the quad's
     pixel coordinates stays far below the margin (below about 1e9 px).  A
     NaN corner crops nothing on its axis.  So the result is that of testing
-    every point.
+    every point, unless a corner's v is NaN while every u is finite: the
+    polygon test then counts only the edges away from that corner, and can
+    keep points outside the u range, which the crop drops.
     """
     points_cam = np.asarray(points_cam, dtype=float).reshape(-1, 3)
     if not len(points_cam):
         return points_cam
     quad = np.asarray(quad, dtype=float)
     uv, valid = project_array(intrinsics, points_cam)
-    lo = quad.min(axis=0) - QUAD_BOX_MARGIN
-    hi = quad.max(axis=0) + QUAD_BOX_MARGIN
-    outside = (uv < lo) | (uv > hi)
-    (near,) = np.nonzero(valid & ~(outside[:, 0] | outside[:, 1]))
+    u_lo, v_lo = quad.min(axis=0) - QUAD_BOX_MARGIN
+    u_hi, v_hi = quad.max(axis=0) + QUAD_BOX_MARGIN
+    u, v = uv[:, 0], uv[:, 1]
+    outside = (u < u_lo) | (u > u_hi) | (v < v_lo) | (v > v_hi)
+    (near,) = np.nonzero(valid & ~outside)
     return points_cam[near[_points_in_polygon(uv[near], quad)]]
 
 
@@ -281,7 +284,12 @@ def fit_plane_ransac(
     chunk = max(1, RANSAC_CHUNK_VALUES // (3 * n))
     for start in range(0, len(usable), chunk):
         rows = slice(start, start + chunk)
-        offsets = points[None, :, :] - a[usable[rows], None, :]
+        anchors = a[usable[rows]]
+        # one coordinate at a time into the (h, n, 3) layout the matmul takes:
+        # broadcasting over the trailing axis runs a 3-long inner loop
+        offsets = np.empty((len(anchors), n, 3))
+        for k in range(3):
+            np.subtract(points[None, :, k], anchors[:, k, None], out=offsets[:, :, k])
         dist = np.abs(np.matmul(offsets, normals[rows, :, None])[:, :, 0])
         inliers = dist <= params.inlier_threshold
         counts = inliers.sum(axis=1)

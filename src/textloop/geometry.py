@@ -204,7 +204,12 @@ class Pose:
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             return self.rotation @ points + self.translation
-        return points @ self.rotation.T + self.translation
+        # a column at a time: broadcasting the (3,) translation would run a
+        # 3-long inner loop per row
+        out = points @ self.rotation.T
+        for k in range(3):
+            out[..., k] += self.translation[k]
+        return out
 
     def to_json(self) -> dict:
         return {

@@ -115,6 +115,13 @@ def icp_verify(
     Seeded at the source-to-target pose `init`; returns the refined pose with
     fitness (inlier fraction at the correspondence cutoff) and inlier RMS.
     Raises TooFewPoints when either cloud is below params.min_points.
+
+    ICP stops at its fixed point: when a pass finds the correspondences that
+    produced its pose, kabsch would return that pose again, bit for bit, and
+    the next pass would repeat this fitness and rms and stop as converged.
+    That pass is skipped, so the result is the same.  The exit is taken only
+    where the next pass would run and stop: another iteration remains, and
+    abs(rms - rms) < tolerance, that is, tolerance > 0 and rms is finite.
     """
     points = target.data
     if len(points) < params.min_points or len(source) < params.min_points:
@@ -124,7 +131,11 @@ def icp_verify(
     fitness = 0.0
     rms = np.inf
     converged = False
-    for _ in range(params.max_iterations):
+    # the correspondences kabsch turned into `pose`; the tree gives a point with
+    # no match within max_correspondence the index len(points), so the index
+    # array alone fixes them
+    fitted = None
+    for it in range(params.max_iterations):
         moved = pose.apply(source)
         dist, index = target.query(moved, distance_upper_bound=params.max_correspondence)
         matched = np.isfinite(dist)
@@ -132,10 +143,18 @@ def icp_verify(
         if matched.sum() < 3:
             break
         rms = float(np.sqrt(np.mean(dist[matched] ** 2)))
-        if abs(last_rms - rms) < params.tolerance:
+        # at a fixed point the next pass would repeat this rms, and stop only
+        # on the test below, abs(rms - rms) < tolerance
+        fixed_point = (
+            np.array_equal(index, fitted)
+            and it + 1 < params.max_iterations
+            and abs(rms - rms) < params.tolerance
+        )
+        if fixed_point or abs(last_rms - rms) < params.tolerance:
             converged = True
             break
         last_rms = rms
+        fitted = index
         pose = kabsch(source[matched], points[index[matched]])
     accepted = converged and fitness >= params.min_fitness and rms <= params.max_rms
     return IcpResult(pose=pose, fitness=fitness, rms=rms, converged=converged, accepted=accepted)

@@ -238,6 +238,34 @@ def test_bad_information_diagonal_exits_2(entry, tmp_path, capsys):
         assert "error: line 1: bad info_diag value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("t", [float("nan"), 0.0, 0.0]),
+        ("t", [0.0, float("inf"), 0.0]),
+        ("t", [0.0, 0.0, None]),
+        ("t", [0.0, 0.0]),
+        ("q", [1.0, float("nan"), 0.0, 0.0]),
+        ("q", [float("-inf"), 0.0, 0.0, 0.0]),
+        ("q", [True, 0.0, 0.0, 0.0]),
+        ("q", ["1", 0.0, 0.0, 0.0]),
+        ("q", [0.0, 0.0, 0.0, 0.0]),
+        ("q", 1.0),
+    ],
+    ids=str,
+)
+def test_bad_loop_pose_exits_2(key, value, tmp_path, capsys):
+    # before, a NaN in t or q made optimize exit 2 with a message that named
+    # no line, and evaluate exit 0
+    record = _loop_record(2, 0)
+    record["pose"][key] = value
+    traj, loops = _three_pose_run(tmp_path, record)
+    for argv in _optimize_and_evaluate(traj, loops, tmp_path):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: bad loop pose (") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("key", ["gate_generic_with_icp", "refine_poses", "exact_cutoff"])
 def test_removed_detect_keys_are_unknown(key, tmp_path, capsys, monkeypatch):
     config = tmp_path / "run.ini"

@@ -242,6 +242,46 @@ def test_pose_graph_weights_outside_their_range_exit_2(
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "key, value, detail",
+    [
+        ("tolerance", "0", "must be positive and finite, got 0.0"),
+        ("tolerance", "-1e-6", "must be positive and finite, got -1e-06"),
+        ("tolerance", "NaN", "must be positive and finite, got nan"),
+        ("tolerance", "Infinity", "must be positive and finite, got inf"),
+        ("max_correspondence", "0", "must be positive and finite, got 0.0"),
+        ("max_correspondence", "-0.5", "must be positive and finite, got -0.5"),
+        ("max_correspondence", "NaN", "must be positive and finite, got nan"),
+        ("max_correspondence", "Infinity", "must be positive and finite, got inf"),
+        ("min_fitness", "2", "must lie in [0, 1], got 2.0"),
+        ("min_fitness", "-0.1", "must lie in [0, 1], got -0.1"),
+        ("min_fitness", "NaN", "must lie in [0, 1], got nan"),
+        ("max_rms", "-0.15", "must be non-negative, got -0.15"),
+        ("max_rms", "NaN", "must be non-negative, got nan"),
+        ("max_iterations", "0", "must be at least 1, got 0"),
+        ("max_iterations", "-3", "must be at least 1, got -3"),
+    ],
+)
+def test_icp_values_outside_their_range_exit_2(key, value, detail, tmp_path, capsys):
+    # before, tolerance = 0, max_correspondence = NaN and min_fitness = 2 each
+    # made detect exit 0 with no constraints
+    message = f"[icp] {key} {detail}"
+    path = tmp_path / "run.ini"
+    path.write_text(f"[icp]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(path), environ={})
+    argv = ["detect", "--log", str(tmp_path / "log.jsonl"), "--out", str(tmp_path / "loops")]
+    assert main(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "key, value", [("min_fitness", 0), ("min_fitness", 1), ("max_rms", 0), ("max_iterations", 1)]
+)
+def test_icp_range_ends_accepted(key, value):
+    assert PipelineConfig({"icp": {key: value}})["icp"][key] == value
+
+
 @pytest.mark.parametrize("value, expected", [("null", None), ("2", 2.0), ("0.25", 0.25)])
 def test_huber_delta_is_null_or_a_positive_number(value, expected, tmp_path):
     path = tmp_path / "run.ini"

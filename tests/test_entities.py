@@ -540,6 +540,55 @@ def test_points_in_region_equals_uncropped_test(quad, fx, cx):
         assert len(expected) > 20
 
 
+def _broadcast_crop(points_cam, intrinsics, quad):
+    """Indices of the points that reach the polygon test, cropped with (N, 2) broadcasts."""
+    uv, valid = project_array(intrinsics, points_cam)
+    lo = quad.min(axis=0) - entities_module.QUAD_BOX_MARGIN
+    hi = quad.max(axis=0) + entities_module.QUAD_BOX_MARGIN
+    outside = (uv < lo) | (uv > hi)
+    (near,) = np.nonzero(valid & ~(outside[:, 0] | outside[:, 1]))
+    return uv, near
+
+
+@pytest.mark.parametrize(
+    "quad",
+    [
+        [[-50.0, -40.0], [60.0, -35.0], [55.0, 45.0], [-45.0, 50.0]],
+        [[-50.0, -40.0], [np.nan, -35.0], [55.0, 45.0], [-45.0, 50.0]],
+        [[-50.0, -40.0], [60.0, -35.0], [55.0, np.nan], [-45.0, 50.0]],
+        [[np.nan, np.nan], [60.0, -35.0], [55.0, 45.0], [-45.0, 50.0]],
+        [[np.nan, np.nan]] * 4,
+    ],
+    ids=["finite", "nan-u", "nan-v", "nan-corner", "all-nan"],
+)
+def test_points_in_region_crop_equals_broadcast_crop(quad, monkeypatch):
+    quad = np.array(quad)
+    rng = np.random.default_rng(17)
+    points = rng.uniform([-3.0, -3.0, -1.0], [3.0, 3.0, 5.0], size=(600, 3))
+    for column, stride in ((0, 17), (1, 23), (2, 29)):
+        points[column::stride, column] = np.nan
+    points[11::31] = np.nan
+    polygon_test = entities_module._points_in_polygon
+    tested = []
+
+    def recording_polygon_test(uv, polygon):
+        tested.append(uv)
+        return polygon_test(uv, polygon)
+
+    monkeypatch.setattr(entities_module, "_points_in_polygon", recording_polygon_test)
+    kept = points_in_region(points, K100, quad)
+    uv, near = _broadcast_crop(points, K100, quad)
+    (tested_uv,) = tested
+    assert tested_uv.tobytes() == uv[near].tobytes()
+    inside = polygon_test(uv[near], quad)
+    assert kept.tobytes() == points[near[inside]].tobytes()
+    # a NaN corner crops nothing on its axis
+    for axis in (0, 1):
+        if np.isnan(quad[:, axis]).any():
+            finite = np.nan_to_num(quad, nan=0.0)
+            assert len(near) > len(_broadcast_crop(points, K100, finite)[1])
+
+
 def test_extract_entities_window_matches_full_scan(monkeypatch):
     wall = _wall_scene()[3][0]
     stamps = [0.25 * f for f in range(20)]

@@ -219,6 +219,23 @@ def test_compose_inverse_identity():
         assert poses_close(pose.inverse() @ pose, Pose.identity(), tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "shape, order",
+    [((0, 3), "C"), ((1, 3), "C"), ((257, 3), "C"), ((257, 3), "F"), ((4, 6, 3), "C"), ((3,), "C")],
+    ids=str,
+)
+def test_pose_apply_bit_equal_to_broadcast_add(shape, order):
+    rng = np.random.default_rng(41)
+    pose = random_pose(rng, max_radius=50.0)
+    points = np.asarray(rng.normal(scale=20.0, size=shape), order=order)
+    if points.ndim == 1:
+        expected = pose.rotation @ points + pose.translation
+    else:
+        expected = points @ pose.rotation.T + pose.translation
+    moved = pose.apply(points)
+    assert moved.shape == expected.shape and moved.tobytes() == expected.tobytes()
+
+
 def test_transform_point_batch_matches_single():
     rng = np.random.default_rng(37)
     pose = random_pose(rng)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from helpers import poses_close
+import every_pass_icp
+from helpers import ACCEPT_NOISE, default_rig, poses_close
 from textloop import loop_closure
 from textloop.entities import TextCategory, TextEntity, TooFewPoints
 from textloop.geometry import Pose, exp_map
 from textloop.loop_closure import (
     DetectorParams,
     DetectorState,
+    IcpParams,
     IcpResult,
     LoopConstraint,
     LoopSource,
@@ -18,6 +20,7 @@ from textloop.loop_closure import (
     process_frame,
     relative_pose_from_entities,
 )
+from textloop.simulator import build_world, default_route, simulate
 
 
 def _yaw_pose(yaw, t):
@@ -137,6 +140,107 @@ def test_icp_too_few_points():
     small = _grid_cloud()[:10]
     with pytest.raises(TooFewPoints):
         icp_verify(cKDTree(small), small, Pose.identity())
+
+
+class _CountingTree:
+    """A cKDTree that counts its queries."""
+
+    def __init__(self, points):
+        self._tree = cKDTree(points, balanced_tree=False)
+        self.data = self._tree.data
+        self.queries = 0
+
+    def query(self, *args, **kwargs):
+        self.queries += 1
+        return self._tree.query(*args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def revisit_cases():
+    """(target cloud, source cloud, jittered prior) for real revisits of a 2-lap corridor.
+
+    Every 40th second-lap frame is paired with the first-lap frame nearest
+    to it, and the true relative pose is perturbed twice.
+    """
+    result = simulate(
+        build_world("corridor", seed=1),
+        default_route("corridor", laps=2),
+        default_rig(),
+        ACCEPT_NOISE,
+        seed=1,
+    )
+    gt = result.gt_poses
+    positions = np.array([p.translation for p in gt])
+    half = len(gt) // 2
+    rng = np.random.default_rng(7)
+    cases = []
+    for i in range(half + 10, len(gt), 40):
+        j = int(np.argmin(np.linalg.norm(positions[:half] - positions[i], axis=1)))
+        prior = gt[i].inverse() @ gt[j]
+        for _ in range(2):
+            twist = np.concatenate([rng.uniform(-0.2, 0.2, 3), rng.uniform(-0.03, 0.03, 3)])
+            cases.append((result.clouds[i], result.clouds[j], exp_map(twist) @ prior))
+    return cases
+
+
+def _same_result(a: IcpResult, b: IcpResult) -> bool:
+    return (
+        a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
+        and a.pose.translation.tobytes() == b.pose.translation.tobytes()
+        and (a.fitness, a.rms, a.converged, a.accepted)
+        == (b.fitness, b.rms, b.converged, b.accepted)
+    )
+
+
+def _both(target, source, prior, params):
+    """(icp_verify, oracle) results and their query counts."""
+    fast, slow = _CountingTree(target), _CountingTree(target)
+    ours = icp_verify(fast, source, prior, params)
+    theirs = every_pass_icp.icp_verify(slow, source, prior, params)
+    return ours, theirs, fast.queries, slow.queries
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        IcpParams(),
+        IcpParams(max_iterations=1),
+        IcpParams(max_iterations=2),
+        IcpParams(tolerance=5e-324),
+        IcpParams(tolerance=0.0, max_iterations=12),
+        IcpParams(max_correspondence=0.2),
+    ],
+    ids=["default", "one-pass", "two-pass", "tiny-tolerance", "zero-tolerance", "tight-radius"],
+)
+def test_icp_matches_every_pass_oracle_on_revisits(revisit_cases, params):
+    ours_total = theirs_total = 0
+    for target, source, prior in revisit_cases:
+        ours, theirs, n_ours, n_theirs = _both(target, source, prior, params)
+        assert _same_result(ours, theirs)
+        ours_total += n_ours
+        theirs_total += n_theirs
+    # a fixed point can be skipped only with a pass to spare and tolerance > 0
+    if params.max_iterations > 2 and params.tolerance > 0.0:
+        assert ours_total < theirs_total
+    else:
+        assert ours_total == theirs_total
+
+
+def test_icp_fixed_point_on_the_last_allowed_pass(revisit_cases):
+    # q passes reach the fixed point; with max_iterations = q no pass remains
+    # to repeat it, so ICP stops unconverged, as the oracle does
+    last_pass = 0
+    for target, source, prior in revisit_cases[:8]:
+        ours, theirs, n_ours, n_theirs = _both(target, source, prior, IcpParams())
+        if n_ours == n_theirs:
+            continue
+        assert n_ours == n_theirs - 1
+        for max_iterations in (n_ours - 1, n_ours, n_ours + 1):
+            params = IcpParams(max_iterations=max_iterations)
+            ours, theirs, _, _ = _both(target, source, prior, params)
+            assert _same_result(ours, theirs)
+            last_pass += max_iterations == n_ours and not theirs.converged
+    assert last_pass > 0
 
 
 def test_frame_candidates_share_one_target_tree(monkeypatch):
