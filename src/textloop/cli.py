@@ -20,7 +20,7 @@ from . import __version__
 from .config import ConfigError, PipelineConfig, load_config
 from .entities import ExtractionError, extract_entities
 from .evaluation import LengthMismatch, label_loop_poses, make_report
-from .geometry import GeometryError, OutOfRangeFactor, Pose, stack_poses
+from .geometry import GeometryError, OutOfRangeFactor, stack_poses
 from .logio import (
     LogFormatError,
     json_finite,
@@ -30,6 +30,7 @@ from .logio import (
     parse_cloud,
     parse_detections,
     parse_field,
+    parse_loop,
     parse_pose,
     read_log,
     read_trajectory,
@@ -180,54 +181,15 @@ def optimize_trajectory(odom_poses, constraints, config: PipelineConfig):
     return graph.nodes, report
 
 
-def _information_diagonal(value) -> list[float]:
-    """Six positive finite JSON numbers; a boolean is a TypeError, not 1.0."""
-    if not isinstance(value, list) or len(value) != 6:
-        raise TypeError(f"expected a list of six numbers, got {value!r}")
-    diagonal = [json_finite(x) for x in value]
-    if min(diagonal) <= 0.0:
-        raise ValueError(f"expected positive numbers, got {diagonal}")
-    return diagonal
-
-
-def _check_loop_pose(value) -> None:
-    """t three and q four finite JSON numbers, q nonzero; a boolean is a TypeError."""
-    for key, size in (("t", 3), ("q", 4)):
-        if not isinstance(value[key], list) or len(value[key]) != size:
-            raise TypeError(f"{key} expects a list of {size} numbers, got {value[key]!r}")
-        for x in value[key]:
-            json_finite(x)
-    # a GeometryError, a ValueError, for a zero q
-    Pose.from_json(value)
-
-
 def _load_loops(path, n_poses: int) -> list[LoopConstraint]:
-    """Loop records whose frames are integers with 0 <= j < i < n_poses.
-
-    The pose must be finite with a nonzero q, and the information diagonal
-    six positive finite numbers.
-    """
+    """Loop records (see parse_loop) whose frames satisfy 0 <= j < i < n_poses."""
     constraints = []
     with open(path, "r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, start=1):
             if not raw.strip():
                 continue
-            try:
-                obj = json.loads(raw)
-                pose = obj["pose"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise LogFormatError(f"line {number}: bad loop record ({exc})") from exc
-            try:
-                _check_loop_pose(pose)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LogFormatError(f"line {number}: bad loop pose ({exc})") from exc
-            try:
-                constraint = LoopConstraint.from_json(obj)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LogFormatError(f"line {number}: bad loop record ({exc})") from exc
-            i = parse_field(obj, "i", json_int, number)
-            j = parse_field(obj, "j", json_int, number)
-            parse_field(obj, "info_diag", _information_diagonal, number)
+            constraint = parse_loop(raw, number)
+            i, j = constraint.frame_i, constraint.frame_j
             if not 0 <= j < i < n_poses:
                 raise LogFormatError(
                     f"line {number}: loop ({i}, {j}) outside the {n_poses} poses of the trajectory"
@@ -346,9 +308,12 @@ def cmd_evaluate(args) -> int:
         raise LogFormatError("ground truth must contain at least two poses")
     gtl = label_loop_poses(gt, tau=ev["tau"], min_travel=ev["min_travel"])
     predictions = [(c.frame_i, c.frame_j) for c in constraints]
-    report = make_report(
-        predictions, gtl, est, gt, params={"tau": ev["tau"], "min_travel": ev["min_travel"]}
-    )
+    try:
+        report = make_report(
+            predictions, gtl, est, gt, params={"tau": ev["tau"], "min_travel": ev["min_travel"]}
+        )
+    except GeometryError as exc:
+        raise LogFormatError(f"cannot align {args.traj} to {args.gt}: {exc}") from exc
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

@@ -13,6 +13,7 @@ import configparser
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .association import AssociationParams
 from .entities import CalibratedRig, ExtractionParams, RansacParams
 from .geometry import CameraIntrinsics, Pose
+from .logio import json_array, json_float, json_int
 from .loop_closure import DetectorParams, IcpParams
 from .simulator import CAMERA_OFFSET, NoiseModel
 
@@ -104,36 +106,111 @@ class ConfigError(ValueError):
 def _parse_value(raw: str):
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # a JSONDecodeError, or an integer past sys.get_int_max_str_digits()
         return raw
 
 
 def _coerce(section: str, key: str, value, default):
     """Fit a parsed value to the default's type; reject structural mismatches."""
-    if default is None:
-        # the one null default, [graph] huber_delta, is an optional number
-        if value is None:
-            return None
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ConfigError(f"[{section}] {key} expects null or a number, got {value!r}")
-    if isinstance(default, int):
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise ConfigError(f"[{section}] {key} expects an integer, got {value!r}")
-    if isinstance(default, float):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ConfigError(f"[{section}] {key} expects a number, got {value!r}")
-    if isinstance(default, list):
-        if isinstance(value, list) and len(value) == len(default):
-            return [float(x) for x in value]
-        raise ConfigError(f"[{section}] {key} expects a list of {len(default)} numbers")
     if isinstance(default, str):
-        if isinstance(value, str):
-            return value
-        return str(value)
-    raise ConfigError(f"[{section}] {key} has unsupported default type")
+        return value if isinstance(value, str) else str(value)
+    if isinstance(default, list):
+        try:
+            return json_array(value, (len(default),)).tolist()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"[{section}] {key} expects a list of {len(default)} finite numbers ({exc})"
+            ) from exc
+    if isinstance(default, int):
+        expects, decode = "an integer", json_int
+    elif default is not None:
+        expects, decode = "a number", json_float
+    elif value is None:
+        # the one null default, [graph] huber_delta, is an optional number
+        return None
+    else:
+        expects, decode = "null or a number", json_float
+    try:
+        return decode(value)
+    except TypeError as exc:
+        raise ConfigError(f"[{section}] {key} expects {expects}, got {value!r}") from exc
+    except ValueError as exc:  # an integer past float range
+        raise ConfigError(f"[{section}] {key} expects {expects} ({exc})") from exc
+
+
+# The range of each bounded key, as the phrase of its error and a test that
+# `not` turns into a rejection, so that NaN fails every test.
+_POSITIVE = ("must be positive and finite", lambda x: 0.0 < x < math.inf)
+_NON_NEGATIVE = ("must be non-negative", lambda x: x >= 0.0)
+_NON_NEGATIVE_FINITE = ("must be non-negative and finite", lambda x: 0.0 <= x < math.inf)
+_UNIT = ("must lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+_AT_LEAST_1 = ("must be at least 1", lambda x: x >= 1)
+_BOUNDS: dict[str, dict[str, tuple]] = {
+    "rig": {
+        "fx": _POSITIVE,
+        "fy": _POSITIVE,
+        "cx": ("must be finite", math.isfinite),
+        "cy": ("must be finite", math.isfinite),
+    },
+    # outside these ranges a gate passes everything or nothing, and detect
+    # would exit 0 with other constraints or none
+    "detect": {
+        "min_confidence": _UNIT,
+        "window": _NON_NEGATIVE_FINITE,
+        "epsilon": _POSITIVE,
+        "d_ltem": _NON_NEGATIVE_FINITE,
+        "r_merge": _NON_NEGATIVE_FINITE,
+        "min_consistent": _AT_LEAST_1,
+        "s_min": _NON_NEGATIVE_FINITE,
+        "max_offset": _NON_NEGATIVE_FINITE,
+        "cooldown_frames": _NON_NEGATIVE,
+    },
+    "ransac": {
+        "iterations": _AT_LEAST_1,
+        "inlier_threshold": _POSITIVE,
+        # a plane hypothesis is the plane through 3 sampled points
+        "min_points": ("must be at least 3", lambda x: x >= 3),
+        "min_inlier_ratio": _UNIT,
+        "seed": _NON_NEGATIVE,
+    },
+    # outside these ranges ICP never converges or never accepts
+    "icp": {
+        "max_iterations": _AT_LEAST_1,
+        "tolerance": _POSITIVE,
+        "max_correspondence": _POSITIVE,
+        "min_fitness": _UNIT,
+        "max_rms": _NON_NEGATIVE,
+    },
+    # the pose graph divides by the sigmas and scales them
+    "edges": dict.fromkeys(
+        ("odom_sigma_t", "odom_sigma_r", "loop_sigma_t", "loop_sigma_r", "unrefined_scale"),
+        _POSITIVE,
+    ),
+    "graph": {
+        "max_iterations": _NON_NEGATIVE,
+        "lambda_init": _POSITIVE,
+        "huber_delta": (
+            "must be null or positive and finite",
+            lambda x: x is None or 0.0 < x < math.inf,
+        ),
+        "tolerance": _NON_NEGATIVE,
+    },
+    "eval": {"tau": _POSITIVE, "min_travel": _NON_NEGATIVE_FINITE},
+    # NoiseModel's own bounds
+    "sim": {
+        "detect_prob": _UNIT,
+        "misread_prob": _UNIT,
+        **dict.fromkeys(
+            (
+                "odom_sigma_t", "odom_sigma_r", "bbox_jitter", "cloud_sigma",
+                "max_range", "max_incidence",
+            ),
+            _NON_NEGATIVE,
+        ),
+    },
+}
+# largest entry of |R R^T - I| and |det R - 1| accepted for [rig] rotation
+ROTATION_TOLERANCE = 1e-6
 
 
 @dataclass
@@ -151,11 +228,22 @@ class PipelineConfig:
                 if key not in merged[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
                 merged[section][key] = _coerce(section, key, value, DEFAULTS[section][key])
-        # a plane hypothesis is the plane through 3 sampled points
-        if merged["ransac"]["min_points"] < 3:
-            raise ConfigError(
-                f"[ransac] min_points must be at least 3, got {merged['ransac']['min_points']}"
-            )
+        for section, bounds in _BOUNDS.items():
+            for key, (phrase, holds) in bounds.items():
+                value = merged[section][key]
+                if not holds(value):
+                    raise ConfigError(f"[{section}] {key} {phrase}, got {value}")
+        # an edge weighs 1 / sigma^2, a loop sigma times unrefined_scale too;
+        # neither sigma^2 nor its inverse may leave the float range
+        edges = merged["edges"]
+        for key in ("odom_sigma_t", "odom_sigma_r", "loop_sigma_t", "loop_sigma_r"):
+            scale = edges["unrefined_scale"] if key.startswith("loop") else 1.0
+            for sigma in (edges[key], edges[key] * scale):
+                square = sigma * sigma
+                if not (0.0 < square < math.inf and 1.0 / square < math.inf):
+                    raise ConfigError(
+                        f"[edges] {key} gives the edge weight 1 / {sigma}^2, out of float range"
+                    )
         # each image is stamped CAMERA_OFFSET after its frame and must come
         # before the next one; at 1 / CAMERA_OFFSET (20 Hz) rounding already
         # puts some stamps past it
@@ -165,43 +253,22 @@ class PipelineConfig:
                 f"[sim] rate must lie strictly between 0 and {1.0 / CAMERA_OFFSET:g} Hz, so that "
                 f"each image, {CAMERA_OFFSET} s after its frame, comes before the next; got {rate}"
             )
-        # NoiseModel's own bounds, named by key; `not` also rejects NaN
-        sim = merged["sim"]
-        for key in ("detect_prob", "misread_prob"):
-            if not 0.0 <= sim[key] <= 1.0:
-                raise ConfigError(f"[sim] {key} must lie in [0, 1], got {sim[key]}")
-        for key in (
-            "odom_sigma_t", "odom_sigma_r", "bbox_jitter", "cloud_sigma",
-            "max_range", "max_incidence",
-        ):
-            if not sim[key] >= 0.0:
-                raise ConfigError(f"[sim] {key} must be non-negative, got {sim[key]}")
-        # the pose graph divides by the sigmas and scales them
-        edges = merged["edges"]
-        for key in (
-            "odom_sigma_t", "odom_sigma_r", "loop_sigma_t", "loop_sigma_r", "unrefined_scale",
-        ):
-            if not 0.0 < edges[key] < math.inf:
-                raise ConfigError(f"[edges] {key} must be positive and finite, got {edges[key]}")
-        # outside these ranges ICP never converges or never accepts, and
-        # detect would exit 0 with no constraints
-        icp = merged["icp"]
-        for key in ("tolerance", "max_correspondence"):
-            if not 0.0 < icp[key] < math.inf:
-                raise ConfigError(f"[icp] {key} must be positive and finite, got {icp[key]}")
-        if not 0.0 <= icp["min_fitness"] <= 1.0:
-            raise ConfigError(f"[icp] min_fitness must lie in [0, 1], got {icp['min_fitness']}")
-        if not icp["max_rms"] >= 0.0:
-            raise ConfigError(f"[icp] max_rms must be non-negative, got {icp['max_rms']}")
-        if icp["max_iterations"] < 1:
+        rotation = np.array(merged["rig"]["rotation"]).reshape(3, 3)
+        error = max(
+            np.abs(rotation @ rotation.T - np.eye(3)).max(), abs(np.linalg.det(rotation) - 1.0)
+        )
+        if not error <= ROTATION_TOLERANCE:
             raise ConfigError(
-                f"[icp] max_iterations must be at least 1, got {icp['max_iterations']}"
+                f"[rig] rotation must be orthonormal with determinant 1, within "
+                f"{ROTATION_TOLERANCE:g}; got {merged['rig']['rotation']}"
             )
-        huber = merged["graph"]["huber_delta"]
-        if huber is not None and not 0.0 < huber < math.inf:
+        pattern = merged["detect"]["id_pattern"]
+        try:
+            re.compile(pattern)
+        except re.error as exc:
             raise ConfigError(
-                f"[graph] huber_delta must be null or positive and finite, got {huber}"
-            )
+                f"[detect] id_pattern {pattern!r} is not a regular expression ({exc})"
+            ) from exc
         self.values = merged
 
     def __getitem__(self, section: str) -> dict:

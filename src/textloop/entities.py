@@ -201,7 +201,8 @@ def points_in_region(
     NaN corner crops nothing on its axis.  So the result is that of testing
     every point, unless a corner's v is NaN while every u is finite: the
     polygon test then counts only the edges away from that corner, and can
-    keep points outside the u range, which the crop drops.
+    keep points outside the u range, which the crop drops.  A quad read from
+    a log never has a NaN corner: parse_detections rejects it.
     """
     points_cam = np.asarray(points_cam, dtype=float).reshape(-1, 3)
     if not len(points_cam):

@@ -217,10 +217,6 @@ class Pose:
             "q": [float(x) for x in rotation_to_quaternion(self.rotation)],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Pose":
-        return cls(quaternion_to_rotation(np.asarray(obj["q"], dtype=float)), obj["t"])
-
 
 def stack_poses(poses) -> tuple[np.ndarray, np.ndarray]:
     """(rotations (N, 3, 3), translations (N, 3)) of a sequence of poses."""
@@ -367,6 +363,9 @@ def kabsch(source: np.ndarray, target: np.ndarray) -> Pose:
     centroid_s = source.mean(axis=0)
     centroid_t = target.mean(axis=0)
     h = (source - centroid_s).T @ (target - centroid_t)
+    if not np.isfinite(h).all():
+        # LAPACK's SVD can loop without end on an infinity
+        raise GeometryError("the cross-covariance of the points overflows")
     u, _, vt = np.linalg.svd(h)
     sign = np.sign(np.linalg.det(vt.T @ u.T))
     rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T

@@ -4,8 +4,13 @@ One record per line.  A sensor log starts with a single ``calib`` record
 (camera intrinsics as [fx, fy, cx, cy] plus the camera-in-LiDAR pose) and
 then carries ``odom`` {t, frame, pose}, ``cloud`` {frame, points} and
 ``texts`` {t, detections} records; ground-truth files hold ``gt`` {frame,
-pose} records.  Poses serialize as translation + unit quaternion, floats
-at full round-trip precision (the default for json on this side).  A cloud's
+pose} records.  A loop file holds untyped {i, j, pose, info_diag, source}
+records, one LoopConstraint each: integer frames j < i, the pose of frame j
+in frame i, the six positive diagonal entries of its information matrix and
+its LoopSource value.  Poses serialize as translation + unit quaternion,
+floats at full round-trip precision (the default for json on this side), and
+every number is read back through json_finite or json_array, which reject a
+boolean, a string, null, NaN and an infinity.  A cloud's
 ``points`` is one ASCII string, the base64 of its little-endian float64 xyz
 rows in row-major order, so the reader gets back the same bits.
 
@@ -27,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entities import CalibratedRig, TextDetection
-from .geometry import CameraIntrinsics, Pose
+from .geometry import CameraIntrinsics, Pose, quaternion_to_rotation
+from .loop_closure import LoopConstraint, LoopSource
 
 
 class LogFormatError(ValueError):
@@ -95,6 +101,13 @@ _CLOUD_PREFIX = '{"type":"cloud",'
 _CLOUD_ENDINGS = ('"}\n', '"}')
 
 
+def _json_line(raw: str, line: int):
+    try:
+        return json.loads(raw)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past sys.get_int_max_str_digits()
+        raise LogFormatError(f"line {line}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+
+
 def read_log(path, *, skip_clouds: bool = False):
     """Yield LogRecord items; raise LogFormatError with the 1-based line number.
 
@@ -107,10 +120,7 @@ def read_log(path, *, skip_clouds: bool = False):
                 continue
             if not raw.strip():
                 continue
-            try:
-                payload = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise LogFormatError(f"line {number}: invalid JSON ({exc.msg})") from exc
+            payload = _json_line(raw, number)
             if not isinstance(payload, dict) or "type" not in payload:
                 raise LogFormatError(f"line {number}: record must be an object with a type")
             kind = payload["type"]
@@ -163,19 +173,34 @@ def json_finite(value) -> float:
     return number
 
 
-def parse_pose(obj: dict, line: int) -> Pose:
+def json_array(value, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested JSON lists of exactly this shape, of json_finite numbers, as float64.
+
+    A list of another length, or anything else where a list belongs, is a
+    TypeError, as are a boolean, a string and null where a number belongs.
+    """
+    items = [value]
+    for size in shape:
+        for item in items:
+            if not isinstance(item, list) or len(item) != size:
+                what = " lists of ".join(str(n) for n in shape)
+                raise TypeError(f"expected a list of {what} numbers, got {value!r}")
+        items = [x for item in items for x in item]
+    return np.array([json_finite(x) for x in items]).reshape(shape)
+
+
+def parse_pose(obj: dict, line: int, name: str = "pose") -> Pose:
+    """t three and q four json_array numbers, q of nonzero norm."""
     try:
-        return Pose.from_json(obj)
-    except Exception as exc:
-        raise LogFormatError(f"line {line}: bad pose ({exc})") from exc
+        rotation = quaternion_to_rotation(json_array(obj["q"], (4,)))
+        return Pose(rotation, json_array(obj["t"], (3,)))
+    except (KeyError, TypeError, ValueError) as exc:  # GeometryError is a ValueError
+        raise LogFormatError(f"line {line}: bad {name} ({exc})") from exc
 
 
 def parse_calib(payload: dict, line: int) -> CalibratedRig:
-    values = payload["intrinsics"]
-    if not isinstance(values, list) or len(values) != 4:
-        raise LogFormatError(f"line {line}: intrinsics must be [fx, fy, cx, cy]")
     try:
-        intrinsics = CameraIntrinsics(*[float(v) for v in values])
+        intrinsics = CameraIntrinsics(*json_array(payload["intrinsics"], (4,)).tolist())
     except (TypeError, ValueError) as exc:  # GeometryError is a ValueError
         raise LogFormatError(f"line {line}: bad intrinsics ({exc})") from exc
     return CalibratedRig(
@@ -205,13 +230,34 @@ def parse_detections(payload: dict, line: int) -> list[TextDetection]:
                 TextDetection(
                     content=json_str(entry["text"]),
                     confidence=json_finite(entry["conf"]),
-                    quad=np.asarray(entry["quad"], dtype=float),
+                    quad=json_array(entry["quad"], (4, 2)),
                     timestamp=json_finite(payload["t"]),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise LogFormatError(f"line {line}: bad detection entry ({exc})") from exc
     return out
+
+
+def parse_loop(raw: str, line: int) -> LoopConstraint:
+    """One line of a loop file as a LoopConstraint, each field decoded once."""
+    obj = _json_line(raw, line)
+    if not isinstance(obj, dict):
+        raise LogFormatError(f"line {line}: loop record must be an object")
+    for fieldname in ("i", "j", "pose", "info_diag", "source"):
+        if fieldname not in obj:
+            raise LogFormatError(f"line {line}: loop record missing {fieldname!r}")
+    pose = parse_pose(obj["pose"], line, "loop pose")
+    info = parse_field(obj, "info_diag", lambda value: json_array(value, (6,)), line)
+    if not (info > 0.0).all():
+        raise LogFormatError(f"line {line}: bad info_diag value (expected positive numbers)")
+    i = parse_field(obj, "i", json_int, line)
+    j = parse_field(obj, "j", json_int, line)
+    source = parse_field(obj, "source", LoopSource, line)
+    try:
+        return LoopConstraint(i, j, pose, np.diag(info), source)
+    except ValueError as exc:  # j >= i
+        raise LogFormatError(f"line {line}: bad loop record ({exc})") from exc
 
 
 def simulation_to_records(result) -> tuple[Iterator[dict], list[dict]]:

@@ -91,16 +91,6 @@ class LoopConstraint:
             "source": self.source.value,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LoopConstraint":
-        return cls(
-            frame_i=obj["i"],
-            frame_j=obj["j"],
-            relative_pose=Pose.from_json(obj["pose"]),
-            information=np.diag(obj["info_diag"]),
-            source=LoopSource(obj["source"]),
-        )
-
 
 def relative_pose_from_entities(text_in_i: Pose, text_in_j: Pose) -> Pose:
     """Motion from frame j into frame i given one text seen from both."""

@@ -6,7 +6,7 @@ import pytest
 from helpers import assert_golden, poses_close, sha256_of, simulate_and_detect
 from textloop.cli import main
 from textloop.geometry import Pose
-from textloop.logio import gt_record, read_trajectory, write_log
+from textloop.logio import gt_record, odom_record, parse_loop, read_trajectory, write_log
 from textloop.loop_closure import LoopConstraint, LoopSource
 
 
@@ -56,10 +56,8 @@ def test_detect_without_texts_writes_empty_loops(run_dir, tmp_path):
 
 
 def test_detect_golden_constraint_count(run_dir):
-    loops = [
-        LoopConstraint.from_json(json.loads(line))
-        for line in (run_dir / "loops.jsonl").read_text().splitlines()
-    ]
+    lines = (run_dir / "loops.jsonl").read_text().splitlines()
+    loops = [parse_loop(line, number) for number, line in enumerate(lines, start=1)]
     assert len(loops) == 31
     assert all(c.frame_j < c.frame_i for c in loops)
 
@@ -276,3 +274,39 @@ def test_removed_detect_keys_are_unknown(key, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(f"TEXTLOOP_DETECT__{key.upper()}", "20")
     assert main(argv) == 2
     assert f"error: unknown key '{key}' in section [detect]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, key, index, value", [("traj", "t", 1, None), ("gt", "q", 0, True)], ids=str
+)
+def test_non_number_in_a_trajectory_pose_exits_2(name, key, index, value, tmp_path, capsys):
+    # before, a null t made evaluate fail in the alignment SVD (exit 1), and a
+    # true in q read as 1.0 (exit 0)
+    poses = [Pose(np.eye(3), [float(k), 0.0, 0.0]) for k in range(3)]
+    records = {
+        "traj": [odom_record(0.1 * k, k, pose) for k, pose in enumerate(poses)],
+        "gt": [gt_record(k, pose) for k, pose in enumerate(poses)],
+    }
+    records[name][1]["pose"][key][index] = value
+    for file, rows in records.items():
+        write_log(tmp_path / f"{file}.jsonl", rows)
+    (tmp_path / "loops.jsonl").write_text("")
+    argv = ["evaluate", "--traj", str(tmp_path / "traj.jsonl"), "--gt", str(tmp_path / "gt.jsonl"),
+            "--loops", str(tmp_path / "loops.jsonl"), "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: bad pose (") and err.count("\n") == 1
+
+
+def test_trajectory_too_large_to_align_exits_2(tmp_path, capsys):
+    # a finite 1e308 in one pose made evaluate's alignment SVD loop without end
+    records = [gt_record(k, Pose(np.eye(3), [float(k), 1.0, 0.0])) for k in range(3)]
+    records[1]["pose"]["t"][0] = 1e308
+    write_log(tmp_path / "gt.jsonl", records)
+    (tmp_path / "loops.jsonl").write_text("")
+    gt = str(tmp_path / "gt.jsonl")
+    argv = ["evaluate", "--traj", gt, "--gt", gt, "--loops", str(tmp_path / "loops.jsonl"),
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot align {gt} to {gt}: the cross-covariance of the points overflows\n"

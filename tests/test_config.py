@@ -288,3 +288,134 @@ def test_huber_delta_is_null_or_a_positive_number(value, expected, tmp_path):
     path.write_text(f"[graph]\nhuber_delta = {value}\n")
     huber = load_config(str(path), environ={})["graph"]["huber_delta"]
     assert huber == expected and type(huber) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, detail",
+    [
+        ("detect", "s_min", "NaN", "must be non-negative and finite, got nan"),
+        ("detect", "s_min", "-1", "must be non-negative and finite, got -1.0"),
+        ("detect", "cooldown_frames", "-5", "must be non-negative, got -5"),
+        ("detect", "min_consistent", "0", "must be at least 1, got 0"),
+        ("detect", "r_merge", "-1", "must be non-negative and finite, got -1.0"),
+        ("detect", "d_ltem", "-1", "must be non-negative and finite, got -1.0"),
+        ("detect", "d_ltem", "Infinity", "must be non-negative and finite, got inf"),
+        ("detect", "window", "-1", "must be non-negative and finite, got -1.0"),
+        ("detect", "max_offset", "-1", "must be non-negative and finite, got -1.0"),
+        ("detect", "min_confidence", "2", "must lie in [0, 1], got 2.0"),
+        ("detect", "min_confidence", "NaN", "must lie in [0, 1], got nan"),
+        ("detect", "epsilon", "-1", "must be positive and finite, got -1.0"),
+        ("detect", "epsilon", "0", "must be positive and finite, got 0.0"),
+        ("detect", "id_pattern", "[A-Z", "'[A-Z' is not a regular expression "
+         "(unterminated character set at position 0)"),
+        ("ransac", "iterations", "0", "must be at least 1, got 0"),
+        ("ransac", "inlier_threshold", "-1", "must be positive and finite, got -1.0"),
+        ("ransac", "min_inlier_ratio", "2", "must lie in [0, 1], got 2.0"),
+        ("ransac", "seed", "-1", "must be non-negative, got -1"),
+        ("graph", "max_iterations", "-1", "must be non-negative, got -1"),
+        ("graph", "lambda_init", "NaN", "must be positive and finite, got nan"),
+        ("graph", "tolerance", "-1", "must be non-negative, got -1.0"),
+        ("eval", "tau", "0", "must be positive and finite, got 0.0"),
+        ("eval", "min_travel", "NaN", "must be non-negative and finite, got nan"),
+    ],
+)
+def test_gate_values_outside_their_range_exit_2(section, key, value, detail, tmp_path, capsys):
+    # before, s_min = NaN gave detect 73 constraints instead of 31, most of the
+    # others exit 0 with other constraints or none, and epsilon = -1 and seed =
+    # -1 failed on a log line that was fine
+    message = f"[{section}] {key} {detail}"
+    path = tmp_path / "run.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(path), environ={})
+    argv = ["detect", "--log", str(tmp_path / "log.jsonl"), "--out", str(tmp_path / "loops")]
+    assert main(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("detect", "min_confidence", 0),
+        ("detect", "min_confidence", 1),
+        ("detect", "window", 0),
+        ("detect", "d_ltem", 0),
+        ("detect", "r_merge", 0),
+        ("detect", "min_consistent", 1),
+        ("detect", "s_min", 0),
+        ("detect", "max_offset", 0),
+        ("detect", "cooldown_frames", 0),
+        ("ransac", "iterations", 1),
+        ("ransac", "min_inlier_ratio", 0),
+        ("ransac", "min_inlier_ratio", 1),
+        ("ransac", "seed", 0),
+        ("graph", "max_iterations", 0),
+        ("graph", "tolerance", 0),
+        ("eval", "min_travel", 0),
+    ],
+)
+def test_gate_range_ends_accepted(section, key, value):
+    assert PipelineConfig({section: {key: value}})[section][key] == value
+
+
+_YAW_30 = [0.8660254, -0.5, 0.0, 0.5, 0.8660254, 0.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("translation", "[NaN,0,0]",
+         "expects a list of 3 finite numbers (expected a finite number, got nan)"),
+        ("translation", "[0,0]", "expects a list of 3 finite numbers (expected a list of 3 "
+         "numbers, got [0, 0])"),
+        ("rotation", "[true,0,0,0,1,0,0,0,1]",
+         "expects a list of 9 finite numbers (expected a number, got True)"),
+        ("rotation", "[1,0,0,0,1,0,0,0,2]", "must be orthonormal with determinant 1, within "
+         "1e-06; got [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0]"),
+        ("rotation", "[1,0,0,0,1,0,0,0,-1]", "must be orthonormal with determinant 1, within "
+         "1e-06; got [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0]"),
+        ("fx", "NaN", "must be positive and finite, got nan"),
+        ("fy", "0", "must be positive and finite, got 0.0"),
+        ("cx", "Infinity", "must be finite, got inf"),
+        ("cy", "1" + "0" * 400, f"expects a number (1{'0' * 400} is out of float range)"),
+    ],
+)
+def test_rig_values_outside_their_range_exit_2(key, value, message, tmp_path, capsys, monkeypatch):
+    # before, a NaN translation made simulate write a NaN token into the calib
+    # record (detect then gave 0 constraints), and a 401-digit integer raised
+    # OverflowError with exit 1
+    monkeypatch.setenv(f"TEXTLOOP_RIG__{key.upper()}", value)
+    with pytest.raises(ConfigError, match=re.escape(f"[rig] {key} {message}")):
+        load_config(None)
+    assert main(["simulate", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: [rig] {key} {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_rig_rotation_within_tolerance_accepted():
+    config = PipelineConfig({"rig": {"rotation": _YAW_30}})
+    np.testing.assert_allclose(config.rig().camera_in_lidar.rotation.ravel(), _YAW_30)
+
+
+@pytest.mark.parametrize(
+    "key, value, sigma",
+    [
+        ("odom_sigma_t", "1e308", "1e+308"),
+        ("odom_sigma_r", "1e-160", "1e-160"),
+        ("loop_sigma_t", "1e200", "1e+200"),
+        ("unrefined_scale", "1e200", "1e+199"),
+    ],
+)
+def test_edge_weight_out_of_float_range_exits_2(key, value, sigma, tmp_path, capsys):
+    # before, a sigma of 1e308 raised OverflowError in optimize (exit 1), and
+    # one of 1e-160 gave the edge an infinite weight
+    named = "loop_sigma_t" if key == "unrefined_scale" else key
+    message = f"[edges] {named} gives the edge weight 1 / {sigma}^2, out of float range"
+    path = tmp_path / "run.ini"
+    path.write_text(f"[edges]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(path), environ={})
+    argv = ["optimize", "--log", str(tmp_path / "log.jsonl"), "--loops", str(tmp_path / "loops"),
+            "--out", str(tmp_path / "traj.jsonl")]
+    assert main(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

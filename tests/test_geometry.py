@@ -9,6 +9,7 @@ import one_row_lie
 from helpers import default_rig, poses_close, random_pose
 from textloop.geometry import (
     CameraIntrinsics,
+    GeometryError,
     NearPiRotation,
     NegativeDepth,
     OutOfRangeFactor,
@@ -26,6 +27,7 @@ from textloop.geometry import (
     exp_map,
     exp_map_stacked,
     interpolate,
+    kabsch,
     log_map,
     log_map_stacked,
     project_array,
@@ -35,6 +37,7 @@ from textloop.geometry import (
     se3_right_jacobian_inverse,
     stack_poses,
 )
+from textloop.logio import parse_pose
 from textloop.simulator import NoiseModel, build_world, default_route, simulate
 
 IDENTITY_K = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
@@ -274,7 +277,7 @@ def test_pose_json_round_trip():
     rng = np.random.default_rng(43)
     for _ in range(20):
         pose = random_pose(rng)
-        again = Pose.from_json(pose.to_json())
+        again = parse_pose(pose.to_json(), line=1)
         assert poses_close(again, pose, tol=1e-12)
 
 
@@ -431,3 +434,10 @@ def test_plane_params_normalizes_input():
 def test_intrinsics_validation():
     with pytest.raises(ValueError):
         CameraIntrinsics(fx=-1.0, fy=1.0, cx=0.0, cy=0.0)
+
+
+def test_kabsch_rejects_an_overflowing_cross_covariance():
+    # LAPACK's SVD can loop without end on an infinity, so kabsch must not call it
+    source = np.array([[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [0.0, 1e308, 0.0]])
+    with pytest.raises(GeometryError, match="overflows"):
+        kabsch(source, source)

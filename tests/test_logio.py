@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import struct
 from types import SimpleNamespace
 
@@ -9,12 +10,13 @@ import pytest
 from helpers import default_rig, poses_close
 from textloop.cli import main
 from textloop.entities import TextDetection
-from textloop.geometry import Pose, exp_map
+from textloop.geometry import Pose, exp_map, quaternion_to_rotation
 from textloop.logio import (
     LogFormatError,
     calib_record,
     cloud_record,
     gt_record,
+    json_array,
     json_finite,
     json_float,
     odom_record,
@@ -424,7 +426,7 @@ def test_non_integer_sensor_frame_exits_2(kind, value, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "intrinsics, detail",
-    [(["a", 1, 2, 3], "could not convert"), ([-1, 1, 2, 3], "focal lengths must be positive")],
+    [(["a", 1, 2, 3], "expected a number, got 'a'"), ([-1, 1, 2, 3], "focal lengths must be positive")],
     ids=["non_numeric", "negative_focal"],
 )
 def test_bad_calib_intrinsics_exit_2(intrinsics, detail, tmp_path, capsys):
@@ -513,3 +515,55 @@ def test_mistyped_sensor_field_exits_2(key_path, value, message, tmp_path, capsy
     assert main(["detect", "--log", path, "--out", str(tmp_path / "loops.jsonl")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "value", [None, True, "0.5", float("nan")], ids=["null", "bool", "string", "nan"]
+)
+@pytest.mark.parametrize(
+    "key_path, message",
+    [
+        ((4, "pose", "t", 1), "line 4: bad pose"),
+        ((4, "pose", "q", 0), "line 4: bad pose"),
+        ((1, "intrinsics", 2), "line 1: bad intrinsics"),
+        ((1, "extrinsic", "q", 3), "line 1: bad pose"),
+        ((6, "detections", 0, "quad", 2, 0), "line 6: bad detection entry"),
+    ],
+    ids=["odom-t", "odom-q", "calib-cx", "calib-extrinsic", "quad-corner"],
+)
+def test_non_number_in_a_sensor_array_exits_2(key_path, message, value, tmp_path, capsys):
+    # before, np.asarray and float() read null as NaN, true as 1.0 and "0.5" as
+    # 0.5, and detect exited 0 with other constraints or none
+    path = _sensor_log(tmp_path, key_path, value)
+    assert main(["detect", "--log", path, "--out", str(tmp_path / "loops.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message} (") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "value, detail",
+    [
+        ([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], "expected a list of 4 lists of 2 numbers"),
+        ([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0]], "expected a list of 4 lists of 2 numbers"),
+        ([1.0, 2.0, 3.0, 4.0], "expected a list of 4 lists of 2 numbers"),
+        ([[1, 2], [3, 4], [5, 6], [7, True]], "expected a number, got True"),
+        ([[1, 2], [3, 4], [5, 6], [7, 1e999]], "expected a finite number, got inf"),
+    ],
+    ids=["three-corners", "short-corner", "flat", "bool", "inf"],
+)
+def test_json_array_takes_its_shape_of_finite_numbers_only(value, detail):
+    with pytest.raises((TypeError, ValueError), match=re.escape(detail)):
+        json_array(value, (4, 2))
+    quad = json_array([[1, 2.5], [3, 4], [5, 6], [7, 8]], (4, 2))
+    assert quad.dtype == np.float64 and quad.shape == (4, 2) and quad[0, 1] == 2.5
+
+
+def test_decoded_poses_have_the_bits_of_the_asarray_decoder():
+    # the decoder before this one: quaternion_to_rotation(np.asarray(q, dtype=float)), t as given
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        record = json.loads(json.dumps(_random_pose(rng).to_json()))
+        pose = parse_pose(record, line=1)
+        rotation = quaternion_to_rotation(np.asarray(record["q"], dtype=float))
+        assert pose.rotation.tobytes() == rotation.tobytes()
+        assert pose.translation.tobytes() == np.asarray(record["t"], dtype=float).tobytes()

@@ -1,5 +1,7 @@
 """Tests for ICP verification and the streaming loop constraint detector."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -9,6 +11,7 @@ from helpers import ACCEPT_NOISE, default_rig, poses_close
 from textloop import loop_closure
 from textloop.entities import TextCategory, TextEntity, TooFewPoints
 from textloop.geometry import Pose, exp_map
+from textloop.logio import parse_loop
 from textloop.loop_closure import (
     DetectorParams,
     DetectorState,
@@ -295,7 +298,7 @@ def test_constraint_json_round_trip():
         information=np.diag([25.0, 25.0, 25.0, 100.0, 100.0, 100.0]),
         source=LoopSource.GENERIC_TEXT,
     )
-    back = LoopConstraint.from_json(constraint.to_json())
+    back = parse_loop(json.dumps(constraint.to_json()), line=1)
     assert back.frame_i == 40 and back.frame_j == 3
     assert back.source is LoopSource.GENERIC_TEXT
     assert poses_close(back.relative_pose, constraint.relative_pose, tol=1e-12)

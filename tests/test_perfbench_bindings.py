@@ -110,3 +110,13 @@ def test_optimize_span_counts_one_edge_per_odometry_step_and_loop():
         tracer.uninstall()
     assert tracer.counts["pose_graph.optimize.calls"] == 1
     assert tracer.counts["pose_graph.edges"] == (len(odom) - 1) + len(constraints)
+
+
+def test_encoders_that_perfbench_hashes_exist():
+    # stage.py and test_perfbench.py hash loops and poses through these two
+    pose = Pose(np.eye(3), [1.0, 2.0, 3.0])
+    assert pose.to_json() == {"t": [1.0, 2.0, 3.0], "q": [1.0, 0.0, 0.0, 0.0]}
+    constraint = LoopConstraint(2, 0, pose, 4.0 * np.eye(6), LoopSource.ID_TEXT)
+    assert constraint.to_json() == {
+        "i": 2, "j": 0, "pose": pose.to_json(), "info_diag": [4.0] * 6, "source": "id",
+    }
