@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -35,6 +36,7 @@ from .logio import (
     read_log,
     read_trajectory,
     simulation_to_records,
+    text_lines,
     write_log,
 )
 from .loop_closure import DetectorState, LoopConstraint, process_frame
@@ -67,6 +69,14 @@ class DetectorRun:
 
     Text events are buffered until odometry brackets their timestamp; events
     still unbracketed when the stream ends are dropped.
+
+    A cloud is kept only while a later step can read it.  Extraction reads the
+    frames stamped in [t_image - window, anchor], and ICP only frames that
+    anchor an observation.  Once odometry frame k has arrived, every image
+    still to come has t_image >= stamps[k - 1], so a frame stamped before the
+    horizon stamps[k - 1] - window that anchors nothing is dropped.  Odometry
+    stamps must not decrease, and an image with t_image - window below the
+    horizon is an error: its window has been released.
     """
 
     rig: object
@@ -78,22 +88,48 @@ class DetectorRun:
     def __post_init__(self):
         self._raw_clouds: dict[int, np.ndarray] = {}
         self._pending: list[tuple[float, list]] = []
+        # the frames below _released are stamped before _horizon
+        self._horizon = -math.inf
+        self._released = 0
 
     def on_odom(self, stamp: float, frame: int, pose) -> None:
+        stamps = self.state.stamps
+        if stamps and stamp < stamps[-1]:
+            raise ValueError(f"odom t = {stamp} precedes the previous frame's t = {stamps[-1]}")
         assigned = self.state.add_odometry(stamp, pose)
         if assigned != frame:
             raise ValueError(f"odom frame {frame} arrived out of order (expected {assigned})")
         self.timings.frames += 1
         self._drain()
+        if len(stamps) > 1:
+            self._release(stamps[-2] - self.extraction.window)
 
     def on_cloud(self, frame: int, points: np.ndarray) -> None:
+        if frame < self._released and not self.state.db.anchors(frame):
+            return
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         self._raw_clouds[frame] = pts
         self.state.add_cloud(frame, pts)
 
     def on_texts(self, t_image: float, detections) -> None:
+        if t_image - self.extraction.window < self._horizon:
+            raise ValueError(
+                f"texts at t = {t_image} trail the odometry, now at t = {self.state.stamps[-1]}, "
+                "by more than one frame"
+            )
         self._pending.append((t_image, list(detections)))
         self._drain()
+
+    def _release(self, horizon: float) -> None:
+        """Drop the clouds of the frames stamped before horizon that anchor nothing."""
+        self._horizon = horizon
+        stamps = self.state.stamps
+        while self._released < len(stamps) and stamps[self._released] < horizon:
+            frame = self._released
+            if not self.state.db.anchors(frame):
+                self._raw_clouds.pop(frame, None)
+                self.state.clouds.pop(frame, None)
+            self._released += 1
 
     def _drain(self) -> None:
         stamps = self.state.stamps
@@ -184,17 +220,16 @@ def optimize_trajectory(odom_poses, constraints, config: PipelineConfig):
 def _load_loops(path, n_poses: int) -> list[LoopConstraint]:
     """Loop records (see parse_loop) whose frames satisfy 0 <= j < i < n_poses."""
     constraints = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            constraint = parse_loop(raw, number)
-            i, j = constraint.frame_i, constraint.frame_j
-            if not 0 <= j < i < n_poses:
-                raise LogFormatError(
-                    f"line {number}: loop ({i}, {j}) outside the {n_poses} poses of the trajectory"
-                )
-            constraints.append(constraint)
+    for number, raw in text_lines(path):
+        if not raw.strip():
+            continue
+        constraint = parse_loop(raw, number)
+        i, j = constraint.frame_i, constraint.frame_j
+        if not 0 <= j < i < n_poses:
+            raise LogFormatError(
+                f"line {number}: loop ({i}, {j}) outside the {n_poses} poses of the trajectory"
+            )
+        constraints.append(constraint)
     return constraints
 
 
@@ -204,10 +239,12 @@ def _write_loops(path, constraints) -> None:
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
+    # the options override their [sim] keys and meet the same bounds
+    options = {"scenario": args.scenario, "seed": args.seed, "laps": args.laps}
+    sim = {**config["sim"], **{k: v for k, v in options.items() if v is not None}}
+    config = PipelineConfig({**config.values, "sim": sim})
     sim = config["sim"]
-    scenario = args.scenario if args.scenario is not None else sim["scenario"]
-    seed = args.seed if args.seed is not None else sim["seed"]
-    laps = args.laps if args.laps is not None else sim["laps"]
+    scenario, seed, laps = sim["scenario"], sim["seed"], sim["laps"]
     world = build_world(scenario, seed=seed)
     route = default_route(scenario, laps=laps)
     try:
@@ -254,12 +291,18 @@ def cmd_detect(args) -> int:
                 raise LogFormatError(f"line {record.line}: {exc}") from exc
         elif record.kind == "cloud":
             points = parse_cloud(payload, record.line)
+            if not np.isfinite(points).all():
+                raise LogFormatError(
+                    f"line {record.line}: bad points value (a coordinate is NaN or infinite)"
+                )
             run.on_cloud(parse_field(payload, "frame", json_int, record.line), points)
         elif record.kind == "texts":
-            run.on_texts(
-                parse_field(payload, "t", json_finite, record.line),
-                parse_detections(payload, record.line),
-            )
+            t = parse_field(payload, "t", json_finite, record.line)
+            detections = parse_detections(payload, record.line)
+            try:
+                run.on_texts(t, detections)
+            except ValueError as exc:
+                raise LogFormatError(f"line {record.line}: {exc}") from exc
         elif record.kind == "gt":
             raise LogFormatError(f"line {record.line}: gt records do not belong in a sensor log")
     if run is None:

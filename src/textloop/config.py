@@ -196,8 +196,10 @@ _BOUNDS: dict[str, dict[str, tuple]] = {
         "tolerance": _NON_NEGATIVE,
     },
     "eval": {"tau": _POSITIVE, "min_travel": _NON_NEGATIVE_FINITE},
-    # NoiseModel's own bounds
+    # the simulator's own bounds
     "sim": {
+        "seed": _NON_NEGATIVE,
+        "laps": _AT_LEAST_1,
         "detect_prob": _UNIT,
         "misread_prob": _UNIT,
         **dict.fromkeys(

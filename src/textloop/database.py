@@ -64,3 +64,7 @@ class ObservationDatabase:
     def entities_in_frame(self, frame: int) -> list[Observation]:
         """All observations anchored to a frame; [] when the frame saw no text."""
         return list(self._by_frame.get(frame, ()))
+
+    def anchors(self, frame: int) -> bool:
+        """Whether an observation is anchored to the frame."""
+        return frame in self._by_frame

@@ -14,6 +14,14 @@ boolean, a string, null, NaN and an infinity.  A cloud's
 ``points`` is one ASCII string, the base64 of its little-endian float64 xyz
 rows in row-major order, so the reader gets back the same bits.
 
+A sensor log is a stream in stamp order, at one stamp ``odom`` before
+``cloud`` before ``texts``.  ``detect`` keeps only the clouds a later step can
+read: when frame k's odometry arrives it drops the clouds of frames stamped
+before stamps[k - 1] - window that anchor no text observation.  So odometry
+stamps must not decrease, and a ``texts`` record may trail the odometry by at
+most one frame (t - window >= stamps[k - 1] - window), or ``detect`` exits 2.
+Every file is read as UTF-8; a byte that is not is a LogFormatError.
+
 ``simulate`` writes records as it generates them, so no more than one cloud
 record is held at a time.  Trajectory readers (``optimize``, ``evaluate``)
 use only ``odom``/``gt`` records and skip cloud lines in the canonical form
@@ -108,29 +116,44 @@ def _json_line(raw: str, line: int):
         raise LogFormatError(f"line {line}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
 
 
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """(1-based number, line) of a UTF-8 file; a byte that is not UTF-8 is a LogFormatError."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for number, raw in enumerate(handle, start=1):
+            # str.isascii reads a flag of the string, and an ASCII line is UTF-8
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError as exc:  # a byte the decoder escaped
+                    byte = ord(raw[exc.start]) - 0xDC00
+                    raise LogFormatError(
+                        f"line {number}: byte 0x{byte:02x} at column {exc.start + 1} is not UTF-8"
+                    ) from None
+            yield number, raw
+
+
 def read_log(path, *, skip_clouds: bool = False):
     """Yield LogRecord items; raise LogFormatError with the 1-based line number.
 
     skip_clouds drops, undecoded, the lines that start and end as write_log
     writes a cloud record; any other line, cloud or not, is validated.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            if skip_clouds and raw.startswith(_CLOUD_PREFIX) and raw.endswith(_CLOUD_ENDINGS):
-                continue
-            if not raw.strip():
-                continue
-            payload = _json_line(raw, number)
-            if not isinstance(payload, dict) or "type" not in payload:
-                raise LogFormatError(f"line {number}: record must be an object with a type")
-            kind = payload["type"]
-            required = _REQUIRED_FIELDS.get(kind) if isinstance(kind, str) else None
-            if required is None:
-                raise LogFormatError(f"line {number}: unknown record type {kind!r}")
-            for fieldname in required:
-                if fieldname not in payload:
-                    raise LogFormatError(f"line {number}: {kind} record missing {fieldname!r}")
-            yield LogRecord(kind, number, payload)
+    for number, raw in text_lines(path):
+        if skip_clouds and raw.startswith(_CLOUD_PREFIX) and raw.endswith(_CLOUD_ENDINGS):
+            continue
+        if not raw.strip():
+            continue
+        payload = _json_line(raw, number)
+        if not isinstance(payload, dict) or "type" not in payload:
+            raise LogFormatError(f"line {number}: record must be an object with a type")
+        kind = payload["type"]
+        required = _REQUIRED_FIELDS.get(kind) if isinstance(kind, str) else None
+        if required is None:
+            raise LogFormatError(f"line {number}: unknown record type {kind!r}")
+        for fieldname in required:
+            if fieldname not in payload:
+                raise LogFormatError(f"line {number}: {kind} record missing {fieldname!r}")
+        yield LogRecord(kind, number, payload)
 
 
 def parse_field(payload: dict, key: str, conv, line: int):
@@ -209,7 +232,7 @@ def parse_calib(payload: dict, line: int) -> CalibratedRig:
 
 
 def parse_cloud(payload: dict, line: int) -> np.ndarray:
-    """The (n, 3) float64 points of a cloud record's base64 payload."""
+    """The (n, 3) float64 points of a cloud record's base64 payload, any bits."""
     try:
         raw = base64.b64decode(payload["points"], validate=True)
         if len(raw) % 24:

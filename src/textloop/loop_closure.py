@@ -170,6 +170,7 @@ class DetectorState:
         self.db = ObservationDatabase()
         self.stamps: list[float] = []
         self.poses: list[Pose] = []
+        # the clouds a later extraction or ICP can still read (see cli.DetectorRun)
         self.clouds: dict[int, LocalCloud] = {}
         # cumulative path length per frame; a doubling buffer, the first len(poses) entries used
         self._cum: np.ndarray = np.zeros(64)

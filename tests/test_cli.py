@@ -3,10 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from helpers import assert_golden, poses_close, sha256_of, simulate_and_detect
+from helpers import assert_golden, default_rig, poses_close, sha256_of, simulate_and_detect
 from textloop.cli import main
 from textloop.geometry import Pose
-from textloop.logio import gt_record, odom_record, parse_loop, read_trajectory, write_log
+from textloop.logio import (
+    calib_record,
+    gt_record,
+    odom_record,
+    parse_loop,
+    read_trajectory,
+    write_log,
+)
 from textloop.loop_closure import LoopConstraint, LoopSource
 
 
@@ -310,3 +317,45 @@ def test_trajectory_too_large_to_align_exits_2(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot align {gt} to {gt}: the cross-covariance of the points overflows\n"
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--laps", "0", "[sim] laps must be at least 1, got 0"),
+        ("--laps", "-1", "[sim] laps must be at least 1, got -1"),
+        ("--seed", "-1", "[sim] seed must be non-negative, got -1"),
+    ],
+)
+def test_simulate_option_outside_its_range_exits_2(option, value, message, tmp_path, capsys):
+    # the options override [sim] laps and seed and meet the same bounds; they
+    # raised a bare ValueError in the simulator (exit 1)
+    argv = ["simulate", "--scenario", "corridor", option, value, "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _insert_line_2(path, raw: bytes) -> None:
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(lines[0] + raw + b"".join(lines[1:]))
+
+
+@pytest.mark.parametrize("name", ["traj", "gt", "loops", "log"])
+def test_byte_that_is_not_utf8_exits_2_with_its_line(name, tmp_path, capsys):
+    # each file read through logio.text_lines; the decode error was a traceback (exit 1)
+    poses = [Pose(np.eye(3), [float(k), 0.0, 0.0]) for k in range(3)]
+    write_log(tmp_path / "traj.jsonl", [odom_record(0.1 * k, k, p) for k, p in enumerate(poses)])
+    write_log(tmp_path / "gt.jsonl", [gt_record(k, p) for k, p in enumerate(poses)])
+    write_log(tmp_path / "loops.jsonl", [_loop_record(2, 0), _loop_record(1, 0)])
+    write_log(tmp_path / "log.jsonl", [calib_record(default_rig()), odom_record(0.0, 0, poses[0])])
+    _insert_line_2(tmp_path / f"{name}.jsonl", b'{"type":"gt","frame":1,\xff\xfe}\n')
+    traj, gt, loops, log = (str(tmp_path / f"{key}.jsonl") for key in ("traj", "gt", "loops", "log"))
+    out = str(tmp_path / "out")
+    optimize = ["optimize", "--log", traj, "--loops", loops, "--out", out]
+    evaluate = ["evaluate", "--traj", traj, "--gt", gt, "--loops", loops, "--out", out]
+    detect = ["detect", "--log", log, "--out", out]
+    readers = {"traj": [optimize, evaluate], "gt": [evaluate], "loops": [optimize, evaluate],
+               "log": [detect]}
+    for argv in readers[name]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: line 2: byte 0xff at column 24 is not UTF-8\n"

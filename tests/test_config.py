@@ -172,6 +172,9 @@ def test_sim_rate_outside_frame_interval_exits_2(rate, tmp_path, capsys):
         ("max_incidence", "-0.1", "[sim] max_incidence must be non-negative, got -0.1"),
         ("rate", "null", "[sim] rate expects a number, got None"),
         ("detect_prob", "null", "[sim] detect_prob expects a number, got None"),
+        ("laps", "0", "[sim] laps must be at least 1, got 0"),
+        ("laps", "-1", "[sim] laps must be at least 1, got -1"),
+        ("seed", "-1", "[sim] seed must be non-negative, got -1"),
     ],
 )
 def test_sim_noise_outside_its_range_exits_2(key, value, message, tmp_path, capsys):

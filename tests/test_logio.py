@@ -332,6 +332,23 @@ def test_bad_cloud_payload_reported_with_line(name, tmp_path, capsys):
     assert "line 3: bad points value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=str)
+def test_non_finite_cloud_coordinate_exits_2(value, tmp_path, capsys):
+    # parse_cloud gives back any bits (see the round trip above); detect, which
+    # builds planes and ICP trees from the points, takes finite ones only
+    points = np.array([[1.0, 2.0, 3.0], [4.0, value, 6.0]])
+    path = tmp_path / "log.jsonl"
+    write_log(
+        path,
+        [calib_record(default_rig()), odom_record(0.0, 0, Pose.identity()), cloud_record(0, points)],
+    )
+    rc = main(["detect", "--log", str(path), "--out", str(tmp_path / "loops.jsonl")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: bad points value (a coordinate is NaN or infinite)\n"
+    )
+
+
 def test_trajectory_reader_skips_canonical_cloud_lines_undecoded(tmp_path):
     path = tmp_path / "log.jsonl"
     write_log(path, [odom_record(0.0, 0, Pose.identity())])

@@ -70,7 +70,10 @@ def test_stage_builds_and_reads_the_detector(monkeypatch):
     assert len(marks) == len(result.stamps)
     assert run.timings.images > 0 and marks[-1] > 0
     assert len(run.state.db) > 0
-    assert len(run.state.clouds) == len(result.stamps)
+    # the detector releases the clouds no later step reads; stage.py sums the
+    # points of those it keeps
+    assert run.state.clouds and set(run.state.clouds) <= set(range(len(result.stamps)))
+    assert all(hasattr(cloud, "points") for cloud in run.state.clouds.values())
     assert sum(len(c.points) for c in run.state.clouds.values()) > 0
 
 
