@@ -49,6 +49,10 @@ from .simulator import (
     simulate,
 )
 
+# a sensor-frame point coordinate, in metres, far beyond any LiDAR's range;
+# detect rejects a cloud with a larger one (1e300 would overflow ICP's sums)
+MAX_POINT_COORDINATE = 1e5
+
 
 @dataclass
 class StageTimings:
@@ -294,6 +298,11 @@ def cmd_detect(args) -> int:
             if not np.isfinite(points).all():
                 raise LogFormatError(
                     f"line {record.line}: bad points value (a coordinate is NaN or infinite)"
+                )
+            if np.abs(points).max(initial=0.0) > MAX_POINT_COORDINATE:
+                raise LogFormatError(
+                    f"line {record.line}: bad points value (a coordinate is beyond "
+                    f"{MAX_POINT_COORDINATE:g} m)"
                 )
             run.on_cloud(parse_field(payload, "frame", json_int, record.line), points)
         elif record.kind == "texts":

@@ -79,7 +79,10 @@ class LoopConstraint:
     def __post_init__(self):
         if self.frame_j >= self.frame_i:
             raise ValueError(f"constraint must point backward: {self.frame_i} <= {self.frame_j}")
-        info = np.asarray(self.information, dtype=float).reshape(6, 6)
+        # the detector's matrices are shared, read-only, and kept as they are
+        info = np.asarray(self.information, dtype=float)
+        if info.shape != (6, 6):
+            info = info.reshape(6, 6)
         object.__setattr__(self, "information", info)
 
     def to_json(self) -> dict:
@@ -106,6 +109,22 @@ def icp_verify(
     fitness (inlier fraction at the correspondence cutoff) and inlier RMS.
     Raises TooFewPoints when either cloud is below params.min_points.
 
+    A pass re-queries the tree only for the source points whose nearest
+    target can have changed.  A point is queried with k=2 at the cutoff c.
+    While it moves less than half the gap between its two neighbours (the
+    gap to c when it has one neighbour), less a rounding guard of 16 machine
+    epsilons times the largest target coordinate plus c, its first neighbour
+    stays nearer than every other target point and within c.  A point with
+    no neighbour within c has no such radius and is queried on every pass.
+    Every pass recomputes each point's distance to its nearest target the
+    way scipy's cKDTree computes it: s = (dx*dx + dy*dy) + dz*dz with
+    d = target - point, a match when s < c*c, and sqrt(s) as the distance.
+    When the two neighbours tie, the point takes its index from a k=1 query,
+    as k=1 and k=2 order ties differently; a tie leaves no gap, so that point
+    is queried again on the next pass.  The distances and indices are thus
+    bit for bit those a full query would return, and the result equals that
+    of querying every point on every pass.
+
     ICP stops at its fixed point: when a pass finds the correspondences that
     produced its pose, kabsch would return that pose again, bit for bit, and
     the next pass would repeat this fitness and rms and stop as converged.
@@ -116,23 +135,54 @@ def icp_verify(
     points = target.data
     if len(points) < params.min_points or len(source) < params.min_points:
         raise TooFewPoints(f"clouds have {len(points)} and {len(source)} points")
+    n = len(points)
+    cutoff = params.max_correspondence
+    cutoff_sq = cutoff * cutoff
+    # row n, at infinity, stands for "no target within the cutoff"
+    padded = np.vstack([points, np.full((1, 3), np.inf)])
+    guard = 16.0 * np.finfo(float).eps * (float(np.abs(points).max()) + cutoff)
+    # per source point: its nearest target (index n and a point at infinity
+    # when none is within the cutoff), where it was last queried, and the
+    # squared distance it may move from there (negative: query it again)
+    nearest = np.full(len(source), n)
+    nearest_point = np.zeros_like(source, dtype=float)
+    anchor = np.zeros_like(source, dtype=float)
+    reach_sq = np.full(len(source), -1.0)
     pose = init
     last_rms = np.inf
     fitness = 0.0
     rms = np.inf
     converged = False
-    # the correspondences kabsch turned into `pose`; the tree gives a point with
-    # no match within max_correspondence the index len(points), so the index
-    # array alone fixes them
+    # the correspondences kabsch turned into `pose`, as the index array a full
+    # query gives
     fitted = None
     for it in range(params.max_iterations):
         moved = pose.apply(source)
-        dist, index = target.query(moved, distance_upper_bound=params.max_correspondence)
-        matched = np.isfinite(dist)
-        fitness = float(matched.sum()) / len(source)
-        if matched.sum() < 3:
+        shift = moved - anchor
+        shift *= shift
+        stale = np.flatnonzero(~(shift[:, 0] + shift[:, 1] + shift[:, 2] < reach_sq))
+        if len(stale):
+            at = moved[stale]
+            dist, ids = target.query(at, k=2, distance_upper_bound=cutoff)
+            first = ids[:, 0]
+            tie = np.isfinite(dist[:, 1]) & (dist[:, 0] == dist[:, 1])
+            if tie.any():
+                first[tie] = target.query(at[tie], distance_upper_bound=cutoff)[1]
+            half_gap = 0.5 * (np.minimum(dist[:, 1], cutoff) - dist[:, 0]) - guard
+            nearest[stale] = first
+            nearest_point[stale] = padded[first]
+            anchor[stale] = at
+            reach_sq[stale] = np.where(half_gap > 0.0, half_gap * half_gap, -1.0)
+        diff = nearest_point - moved
+        diff *= diff
+        sq_dist = diff[:, 0] + diff[:, 1] + diff[:, 2]
+        matched = sq_dist < cutoff_sq
+        count = int(np.count_nonzero(matched))
+        fitness = float(count) / len(source)
+        if count < 3:
             break
-        rms = float(np.sqrt(np.mean(dist[matched] ** 2)))
+        rms = float(np.sqrt(np.mean(np.sqrt(sq_dist[matched]) ** 2)))
+        index = np.where(matched, nearest, n)
         # at a fixed point the next pass would repeat this rms, and stop only
         # on the test below, abs(rms - rms) < tolerance
         fixed_point = (
@@ -145,7 +195,7 @@ def icp_verify(
             break
         last_rms = rms
         fitted = index
-        pose = kabsch(source[matched], points[index[matched]])
+        pose = kabsch(source[matched], nearest_point[matched])
     accepted = converged and fitness >= params.min_fitness and rms <= params.max_rms
     return IcpResult(pose=pose, fitness=fitness, rms=rms, converged=converged, accepted=accepted)
 
@@ -176,6 +226,11 @@ class DetectorState:
         self._cum: np.ndarray = np.zeros(64)
         # accepted (frame_i, frame_j) pairs, kept sorted
         self._accepted: list[tuple[int, int]] = []
+        # the information matrix of a constraint, by whether ICP refined it;
+        # every constraint of the run holds one of these two
+        self.information = {
+            refined: _information_matrix(params, refined) for refined in (False, True)
+        }
 
     def add_odometry(self, stamp: float, pose: Pose) -> int:
         frame = len(self.poses)
@@ -217,7 +272,9 @@ def _information_matrix(params: DetectorParams, refined: bool) -> np.ndarray:
         sigma_t *= params.unrefined_scale
         sigma_r *= params.unrefined_scale
     diag = [1.0 / sigma_t**2] * 3 + [1.0 / sigma_r**2] * 3
-    return np.diag(diag)
+    matrix = np.diag(diag)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _cloud_tree(state: DetectorState, frame: int) -> cKDTree | None:
@@ -280,7 +337,7 @@ def _close_loop(
         frame_i=frame,
         frame_j=obs.frame,
         relative_pose=pose,
-        information=_information_matrix(state.params, refined=icp is not None),
+        information=state.information[icp is not None],
         source=source,
     )
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import default_rig, poses_close
-from textloop.cli import main
+from textloop.cli import MAX_POINT_COORDINATE, main
 from textloop.entities import TextDetection
 from textloop.geometry import Pose, exp_map, quaternion_to_rotation
 from textloop.logio import (
@@ -346,6 +346,26 @@ def test_non_finite_cloud_coordinate_exits_2(value, tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: line 3: bad points value (a coordinate is NaN or infinite)\n"
+    )
+
+
+@pytest.mark.parametrize("value", [1e300, -1e300, 1e5], ids=str)
+def test_absurd_cloud_coordinate_exits_2_at_its_line(value, tmp_path, capsys):
+    # a finite coordinate far beyond LiDAR range is the cloud line's fault, not
+    # that of the odometry line whose ICP it would overflow
+    points = np.array([[1.0, 2.0, 3.0], [4.0, value, 6.0]])
+    path = tmp_path / "log.jsonl"
+    write_log(
+        path,
+        [calib_record(default_rig()), odom_record(0.0, 0, Pose.identity()), cloud_record(0, points)],
+    )
+    rc = main(["detect", "--log", str(path), "--out", str(tmp_path / "loops.jsonl")])
+    if abs(value) <= MAX_POINT_COORDINATE:
+        assert rc == 0
+        return
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: bad points value (a coordinate is beyond 100000 m)\n"
     )
 
 

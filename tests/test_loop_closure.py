@@ -10,7 +10,7 @@ import every_pass_icp
 from helpers import ACCEPT_NOISE, default_rig, poses_close
 from textloop import loop_closure
 from textloop.entities import TextCategory, TextEntity, TooFewPoints
-from textloop.geometry import Pose, exp_map
+from textloop.geometry import Pose, exp_map, kabsch
 from textloop.logio import parse_loop
 from textloop.loop_closure import (
     DetectorParams,
@@ -146,16 +146,16 @@ def test_icp_too_few_points():
 
 
 class _CountingTree:
-    """A cKDTree that counts its queries."""
+    """A cKDTree that counts the points it is queried for."""
 
     def __init__(self, points):
         self._tree = cKDTree(points, balanced_tree=False)
         self.data = self._tree.data
-        self.queries = 0
+        self.points = 0
 
-    def query(self, *args, **kwargs):
-        self.queries += 1
-        return self._tree.query(*args, **kwargs)
+    def query(self, x, *args, **kwargs):
+        self.points += len(x)
+        return self._tree.query(x, *args, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -196,11 +196,11 @@ def _same_result(a: IcpResult, b: IcpResult) -> bool:
 
 
 def _both(target, source, prior, params):
-    """(icp_verify, oracle) results and their query counts."""
+    """(icp_verify, oracle) results and the points each queried the tree for."""
     fast, slow = _CountingTree(target), _CountingTree(target)
     ours = icp_verify(fast, source, prior, params)
     theirs = every_pass_icp.icp_verify(slow, source, prior, params)
-    return ours, theirs, fast.queries, slow.queries
+    return ours, theirs, fast.points, slow.points
 
 
 @pytest.mark.parametrize(
@@ -222,28 +222,145 @@ def test_icp_matches_every_pass_oracle_on_revisits(revisit_cases, params):
         assert _same_result(ours, theirs)
         ours_total += n_ours
         theirs_total += n_theirs
-    # a fixed point can be skipped only with a pass to spare and tolerance > 0
-    if params.max_iterations > 2 and params.tolerance > 0.0:
+    assert ours_total <= theirs_total
+    if params == IcpParams():
         assert ours_total < theirs_total
+
+
+def _translated_case(target, source, prior, offset):
+    """The same alignment problem with both clouds moved by `offset`."""
+    offset = np.asarray(offset, dtype=float)
+    moved_prior = Pose(prior.rotation, prior.translation + offset - prior.rotation @ offset)
+    return target + offset, source + offset, moved_prior
+
+
+def _midway_case():
+    """Source points exactly midway between two target points, under the identity."""
+    target = _grid_cloud()
+    source = target[target[:, 0] < 8.0] + np.array([0.5, 0.0, 0.0])
+    return target, source, Pose.identity()
+
+
+def _duplicate_case():
+    """Every third target point twice, and a seed off by a small twist."""
+    target = np.vstack([_grid_cloud(), _grid_cloud()[::3]])
+    return target, _grid_cloud(), exp_map(np.array([0.05, -0.03, 0.02, 0.01, 0.0, -0.02]))
+
+
+@pytest.mark.parametrize(
+    "case, params",
+    [
+        ("midway", IcpParams(max_correspondence=0.75)),
+        ("midway", IcpParams(max_correspondence=0.5 + 2**-52)),
+        ("duplicates", IcpParams()),
+        ("revisits", IcpParams(max_correspondence=0.3)),
+        ("translated", IcpParams()),
+        ("translated", IcpParams(max_correspondence=0.3)),
+    ],
+    ids=["midway", "midway-at-cutoff", "duplicates", "cutoff-0.3", "translated", "translated-0.3"],
+)
+def test_icp_matches_every_pass_oracle_on_ties_and_scales(revisit_cases, case, params):
+    if case == "midway":
+        cases = [_midway_case()]
+    elif case == "duplicates":
+        cases = [_duplicate_case()]
+    elif case == "revisits":
+        cases = revisit_cases
     else:
-        assert ours_total == theirs_total
+        cases = [_translated_case(*c, [1e5, -1e5, 1e5]) for c in revisit_cases[::3]]
+    for target, source, prior in cases:
+        ours, theirs, n_ours, n_theirs = _both(target, source, prior, params)
+        assert _same_result(ours, theirs)
+        assert n_ours <= n_theirs
 
 
-def test_icp_fixed_point_on_the_last_allowed_pass(revisit_cases):
+def test_icp_fixed_point_on_the_last_allowed_pass(revisit_cases, monkeypatch):
     # q passes reach the fixed point; with max_iterations = q no pass remains
     # to repeat it, so ICP stops unconverged, as the oracle does
+    fits = []
+
+    def counting_kabsch(source, target):
+        fits.append(len(source))
+        return kabsch(source, target)
+
+    monkeypatch.setattr(loop_closure, "kabsch", counting_kabsch)
     last_pass = 0
     for target, source, prior in revisit_cases[:8]:
-        ours, theirs, n_ours, n_theirs = _both(target, source, prior, IcpParams())
-        if n_ours == n_theirs:
+        fits.clear()
+        ours, theirs, _, n_theirs = _both(target, source, prior, IcpParams())
+        # a converged run fits after every pass but its last
+        passes, oracle_passes = len(fits) + 1, n_theirs // len(source)
+        if passes == oracle_passes:
             continue
-        assert n_ours == n_theirs - 1
-        for max_iterations in (n_ours - 1, n_ours, n_ours + 1):
+        assert passes == oracle_passes - 1
+        for max_iterations in (passes - 1, passes, passes + 1):
             params = IcpParams(max_iterations=max_iterations)
             ours, theirs, _, _ = _both(target, source, prior, params)
             assert _same_result(ours, theirs)
-            last_pass += max_iterations == n_ours and not theirs.converged
+            last_pass += max_iterations == passes and not theirs.converged
     assert last_pass > 0
+
+
+def test_ckdtree_arithmetic_that_icp_verify_mirrors():
+    """The scipy behaviour icp_verify recomputes instead of querying."""
+    rng = np.random.default_rng(5)
+    cutoff = 0.3
+    target = rng.uniform(-2.0, 2.0, size=(1500, 3))
+    # random points, and points about one cutoff from a target point, along
+    # random directions and along an axis, to sit on both sides of the bound
+    directions = rng.normal(size=(500, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    along_x = np.zeros((500, 3))
+    along_x[:, 0] = cutoff
+    queries = np.vstack(
+        [
+            rng.uniform(-2.0, 2.0, size=(1000, 3)),
+            target[:500] + cutoff * directions,
+            target[500:1000] + along_x,
+        ]
+    )
+    tree = cKDTree(target, balanced_tree=False)
+    dist, index = tree.query(queries, distance_upper_bound=cutoff)
+    found = index < len(target)
+    diff = target[index[found]] - queries[found]
+    diff *= diff
+    assert np.array_equal(dist[found], np.sqrt(diff[:, 0] + diff[:, 1] + diff[:, 2])), (
+        "cKDTree no longer computes a distance as sqrt((dx*dx + dy*dy) + dz*dz)"
+    )
+    sq = np.empty(len(queries))
+    nearest = np.empty(len(queries), dtype=int)
+    for lo in range(0, len(queries), 250):
+        diff = target[None, :, :] - queries[lo : lo + 250, None, :]
+        diff *= diff
+        block = diff[..., 0] + diff[..., 1] + diff[..., 2]
+        nearest[lo : lo + 250] = np.argmin(block, axis=1)
+        sq[lo : lo + 250] = block[np.arange(len(block)), nearest[lo : lo + 250]]
+    near_bound = np.abs(sq - cutoff * cutoff) < 1e-12
+    assert near_bound.sum() > 100 and found[near_bound].any() and not found[near_bound].all()
+    assert np.array_equal(found, sq < cutoff * cutoff), (
+        "cKDTree no longer matches a point exactly when its squared distance is below cutoff*cutoff"
+    )
+    assert np.array_equal(index[found], nearest[found])
+    # a query midway between two target points, far from the rest
+    pair = np.vstack([target, [[10.0, 0.0, 0.0], [11.0, 0.0, 0.0]]])
+    tree = cKDTree(pair, balanced_tree=False)
+    _, one = tree.query([[10.5, 0.0, 0.0]], distance_upper_bound=cutoff * 2)
+    _, two = tree.query([[10.5, 0.0, 0.0]], k=2, distance_upper_bound=cutoff * 2)
+    assert sorted(two[0]) == [1500, 1501]
+    assert one[0] != two[0, 0], "cKDTree's k=1 and k=2 queries no longer order a tie differently"
+
+
+def test_constraints_share_read_only_information():
+    sign = _yaw_pose(1.0, [1.0, 2.0, 1.0])
+    events = {f: [("A1-R01", TextCategory.ID, sign)] for f in (0, 32, 64)}
+    state, constraints = _run_square(events, laps=3)
+    assert len(constraints) == 3
+    first, second = constraints[:2]
+    assert first.information is second.information is state.information[True]
+    assert not first.information.flags.writeable
+    with pytest.raises(ValueError):
+        first.information[0, 0] = 1.0
+    assert np.allclose(np.diag(first.information), [100.0] * 3 + [400.0] * 3, rtol=1e-12)
 
 
 def test_frame_candidates_share_one_target_tree(monkeypatch):
