@@ -20,9 +20,13 @@ DEFAULT_EPSILON = 0.5
 DEFAULT_WINDOW_RADIUS = 10.0
 DEFAULT_MERGE_RADIUS = 1.0
 MIN_CONSISTENT_SET = 3
-EXACT_SOLVER_CUTOFF = 20
 
 _DENSITY_TIE = 1e-12
+# the solver skips a subtree whose density bound is below the incumbent's by
+# more than this: the tie plus the rounding of densities and of the bound
+_PRUNE_MARGIN = 1e-9
+# below this many candidates a subtree is walked without evaluating the bound
+_BOUND_MIN_CANDIDATES = 4
 
 
 @dataclass(frozen=True)
@@ -221,96 +225,55 @@ def _better(density_a: float, set_a: list[int], density_b: float, set_b: list[in
     return sorted(set_a) < sorted(set_b)
 
 
-def _solve_exact(graph: ConsistencyGraph) -> list[int]:
-    """Exhaustive search over exclusion-feasible subsets."""
+def solve_consistent_set(graph: ConsistencyGraph) -> list[int]:
+    """Indices of the consistent association subset maximizing u^T A u / |S|.
+
+    A depth-first search over the subsets that the exclusion mask allows,
+    visited in increasing index order, returns the best one under _better.
+    A subtree is skipped when a density bound shows that no subset in it
+    comes within the tie tolerance of the incumbent.  The incumbent cannot
+    change while such a subtree is walked, so the result is that of the
+    exhaustive search, bit for bit.
+
+    At a node with k members, pair sum P and candidates C, any t candidates
+    add at most W_t to P, the sum of the t largest w_v = gain(v) + 1/2 sum of
+    a_vu over the other candidates u (affinities are nonnegative); so no
+    extension is denser than the max over t of (k + t + 2 (P + W_t)) / (k + t).
+    """
     n = len(graph)
     affinity = graph.affinity
-    exclusion = graph.exclusion
+    # row v: the gain every vertex gets from v joining; later[v]: the vertices
+    # after v that v does not exclude; pair_bound: the larger of a_uv and a_vu
+    gain_rows = np.ascontiguousarray(affinity.T)
+    later = np.triu(~graph.exclusion, 1)
+    pair_bound = np.maximum(affinity, affinity.T)
+    np.fill_diagonal(pair_bound, 0.0)
     best_set: list[int] = []
     best_density = 0.0
 
-    def recurse(start: int, subset: list[int], pair_sum: float):
+    def recurse(subset: list[int], pair_sum: float, gains: np.ndarray, allowed: np.ndarray):
         nonlocal best_set, best_density
-        if subset:
-            density = (len(subset) + 2.0 * pair_sum) / len(subset)
+        k = len(subset)
+        if k:
+            density = (k + 2.0 * pair_sum) / k
             if _better(density, subset, best_density, best_set):
                 best_density = density
                 best_set = list(subset)
-        for v in range(start, n):
-            if any(exclusion[v, u] for u in subset):
-                continue
-            gain = sum(affinity[v, u] for u in subset)
+        (candidates,) = allowed.nonzero()
+        if len(candidates) >= _BOUND_MIN_CANDIDATES:
+            w = gains[candidates] + 0.5 * (pair_bound[candidates] @ allowed)
+            w.sort()
+            top = w[::-1].cumsum()
+            sizes = np.arange(k + 1, k + 1 + len(top))
+            if (1.0 + 2.0 * (pair_sum + top) / sizes).max() < best_density - _PRUNE_MARGIN:
+                return
+        for v in candidates.tolist():
             subset.append(v)
-            recurse(v + 1, subset, pair_sum + gain)
+            recurse(subset, pair_sum + gains[v], gains + gain_rows[v], allowed & later[v])
             subset.pop()
 
-    recurse(0, [], 0.0)
+    recurse([], 0.0, np.zeros(n), np.ones(n, dtype=bool))
     return sorted(best_set)
-
-
-def _solve_relaxed(graph: ConsistencyGraph, max_phases: int = 12, max_steps: int = 500) -> list[int]:
-    """Projected-gradient ascent on the sphere with an escalating exclusion penalty."""
-    n = len(graph)
-    affinity = graph.affinity
-    penalty_mask = graph.exclusion.astype(float)
-    u = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(50):
-        v = affinity @ u
-        norm = np.linalg.norm(v)
-        if norm < 1e-15:
-            break
-        u = v / norm
-    u = np.clip(u, 0.0, None)
-    norm = np.linalg.norm(u)
-    u = u / norm if norm > 1e-15 else np.full(n, 1.0 / np.sqrt(n))
-    penalty = 0.0
-    for _ in range(max_phases):
-        m_eff = affinity - penalty * penalty_mask
-        step = 1.0 / (np.linalg.norm(m_eff, 2) + 1e-9)
-        for _ in range(max_steps):
-            grad = m_eff @ u
-            candidate = np.clip(u + step * grad, 0.0, None)
-            norm = np.linalg.norm(candidate)
-            if norm < 1e-15:
-                break
-            candidate /= norm
-            if np.linalg.norm(candidate - u) < 1e-10:
-                u = candidate
-                break
-            u = candidate
-        if float(u @ penalty_mask @ u) < 1e-9:
-            if penalty > 0.0:
-                break
-        penalty = max(1.0, 2.0 * penalty)
-    order = np.argsort(-u, kind="stable")
-    chosen: list[int] = []
-    chosen_density = 0.0
-    pair_sum = 0.0
-    for v in order:
-        if any(graph.exclusion[v, w] for w in chosen):
-            continue
-        gain = sum(affinity[v, w] for w in chosen)
-        density = (len(chosen) + 1 + 2.0 * (pair_sum + gain)) / (len(chosen) + 1)
-        if not chosen or density >= chosen_density - _DENSITY_TIE:
-            chosen.append(int(v))
-            pair_sum += gain
-            chosen_density = density
-    return sorted(chosen)
-
-
-def solve_consistent_set(graph: ConsistencyGraph, mode: str = "exact") -> list[int]:
-    """Indices of the consistent association subset maximizing u^T A u / |S|.
-
-    mode "exact" enumerates subsets (bounded instance sizes); "relaxed" runs
-    the continuous relaxation with rounding.  Both respect the exclusion mask.
-    """
-    if len(graph) == 0:
-        return []
-    if mode == "exact":
-        return _solve_exact(graph)
-    if mode == "relaxed":
-        return _solve_relaxed(graph)
-    raise ValueError(f"unknown solver mode {mode!r}")
 
 
 def verify_candidate(
@@ -340,8 +303,7 @@ def verify_candidate(
     if len(associations) < params.min_consistent:
         return None
     graph = build_consistency_graph(associations, map_c, map_p, params.epsilon)
-    mode = "exact" if len(graph) <= EXACT_SOLVER_CUTOFF else "relaxed"
-    consistent = solve_consistent_set(graph, mode)
+    consistent = solve_consistent_set(graph)
     if len(consistent) < params.min_consistent:
         return None
     query_position = poses[current_frame].apply(query.pose_in_anchor.translation)

@@ -202,7 +202,8 @@ def points_in_region(
     every point, unless a corner's v is NaN while every u is finite: the
     polygon test then counts only the edges away from that corner, and can
     keep points outside the u range, which the crop drops.  A quad read from
-    a log never has a NaN corner: parse_detections rejects it.
+    a log never has a NaN corner, nor one beyond 1e6 px: parse_detections
+    rejects both.
     """
     points_cam = np.asarray(points_cam, dtype=float).reshape(-1, 3)
     if not len(points_cam):

@@ -459,9 +459,12 @@ def rotation_to_quaternion(rot: np.ndarray) -> np.ndarray:
 def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
     """Rotation matrix from a [w, x, y, z] quaternion (normalized internally)."""
     q = np.asarray(q, dtype=float).reshape(4)
-    norm = float(np.linalg.norm(q))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(q))
     if norm < 1e-12:
         raise GeometryError("zero quaternion")
+    if not np.isfinite(norm):
+        raise GeometryError(f"quaternion norm {norm} is not finite")
     w, x, y, z = q / norm
     return np.array(
         [

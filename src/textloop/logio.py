@@ -95,6 +95,11 @@ def write_log(path, records) -> None:
             handle.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
+# a pixel coordinate or focal length far beyond any camera image; a quad
+# corner or an intrinsic beyond it is an error (1e300 would overflow the
+# polygon test and the projection)
+MAX_PIXEL_COORDINATE = 1e6
+
 _REQUIRED_FIELDS = {
     "calib": ("intrinsics", "extrinsic"),
     "odom": ("t", "frame", "pose"),
@@ -212,8 +217,16 @@ def json_array(value, shape: tuple[int, ...]) -> np.ndarray:
     return np.array([json_finite(x) for x in items]).reshape(shape)
 
 
+def json_pixels(value, shape: tuple[int, ...]) -> np.ndarray:
+    """A json_array of pixel values, each at most MAX_PIXEL_COORDINATE in magnitude."""
+    pixels = json_array(value, shape)
+    if np.abs(pixels).max() > MAX_PIXEL_COORDINATE:
+        raise ValueError(f"a value is beyond {MAX_PIXEL_COORDINATE:.0f} px")
+    return pixels
+
+
 def parse_pose(obj: dict, line: int, name: str = "pose") -> Pose:
-    """t three and q four json_array numbers, q of nonzero norm."""
+    """t three and q four json_array numbers, q of nonzero, finite norm."""
     try:
         rotation = quaternion_to_rotation(json_array(obj["q"], (4,)))
         return Pose(rotation, json_array(obj["t"], (3,)))
@@ -223,7 +236,7 @@ def parse_pose(obj: dict, line: int, name: str = "pose") -> Pose:
 
 def parse_calib(payload: dict, line: int) -> CalibratedRig:
     try:
-        intrinsics = CameraIntrinsics(*json_array(payload["intrinsics"], (4,)).tolist())
+        intrinsics = CameraIntrinsics(*json_pixels(payload["intrinsics"], (4,)).tolist())
     except (TypeError, ValueError) as exc:  # GeometryError is a ValueError
         raise LogFormatError(f"line {line}: bad intrinsics ({exc})") from exc
     return CalibratedRig(
@@ -253,7 +266,7 @@ def parse_detections(payload: dict, line: int) -> list[TextDetection]:
                 TextDetection(
                     content=json_str(entry["text"]),
                     confidence=json_finite(entry["conf"]),
-                    quad=json_array(entry["quad"], (4, 2)),
+                    quad=json_pixels(entry["quad"], (4, 2)),
                     timestamp=json_finite(payload["t"]),
                 )
             )

@@ -233,12 +233,16 @@ class DetectorState:
         }
 
     def add_odometry(self, stamp: float, pose: Pose) -> int:
+        """Append a frame; a ValueError if its cumulative path length is not finite."""
         frame = len(self.poses)
         if frame == len(self._cum):
             self._cum = np.concatenate([self._cum, np.zeros(frame)])
         if frame:
-            step = float(np.linalg.norm(pose.translation - self.poses[-1].translation))
-            self._cum[frame] = self._cum[frame - 1] + step
+            with np.errstate(over="ignore"):
+                step = float(np.linalg.norm(pose.translation - self.poses[-1].translation))
+                self._cum[frame] = self._cum[frame - 1] + step
+            if not np.isfinite(self._cum[frame]):
+                raise ValueError(f"odom frame {frame} puts the path length beyond float range")
         self.stamps.append(stamp)
         self.poses.append(pose)
         return frame

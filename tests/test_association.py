@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+from exhaustive_solver import solve_exhaustive
 from helpers import (
     brute_force_densest_subset,
     random_consistency_instance,
@@ -14,6 +17,7 @@ from helpers import (
 from textloop.association import (
     Association,
     AssociationParams,
+    ConsistencyGraph,
     build_consistency_graph,
     build_ltem,
     putative_associations,
@@ -172,7 +176,7 @@ def test_graph_diag_and_exclusion():
     # both associations claim the same candidate entity
     assert graph.exclusion[0, 1] and graph.exclusion[1, 0]
     assert graph.affinity[0, 1] == 0.0
-    solution = solve_consistent_set(graph, mode="exact")
+    solution = solve_consistent_set(graph)
     assert len(solution) == 1
 
 
@@ -191,8 +195,7 @@ def test_solver_all_consistent_returns_everything():
     map_p = Ltem(9, (9, 9), entities_p)
     pairs = putative_associations(map_c, map_p)
     graph = build_consistency_graph(pairs, map_c, map_p)
-    for mode in ("exact", "relaxed"):
-        assert solve_consistent_set(graph, mode=mode) == [0, 1, 2, 3]
+    assert solve_consistent_set(graph) == [0, 1, 2, 3]
     assert set_density(graph, [0, 1, 2, 3]) == pytest.approx(4.0)
 
 
@@ -214,44 +217,75 @@ def test_solver_rejects_geometric_outlier():
     map_p = Ltem(9, (9, 9), entities_p)
     pairs = putative_associations(map_c, map_p)
     graph = build_consistency_graph(pairs, map_c, map_p)
-    for mode in ("exact", "relaxed"):
-        assert solve_consistent_set(graph, mode=mode) == [0, 1, 2]
+    assert solve_consistent_set(graph) == [0, 1, 2]
 
 
 def test_exact_solver_matches_brute_force():
     rng = np.random.default_rng(29)
     for _ in range(40):
         graph = random_consistency_instance(rng)
-        assert solve_consistent_set(graph, "exact") == brute_force_densest_subset(graph)
+        assert solve_consistent_set(graph) == brute_force_densest_subset(graph)
 
 
-def test_relaxed_solver_close_to_exact():
-    rng = np.random.default_rng(31)
-    matches = 0
-    trials = 40
-    for _ in range(trials):
-        graph = random_consistency_instance(rng)
-        exact = solve_consistent_set(graph, "exact")
-        relaxed = solve_consistent_set(graph, "relaxed")
-        d_exact = set_density(graph, exact)
-        d_relaxed = set_density(graph, relaxed)
-        assert d_relaxed >= 0.99 * d_exact
-        if relaxed == exact:
-            matches += 1
-    assert matches >= int(0.9 * trials)
+def _signdense_graph(rng: np.random.Generator, ties: bool):
+    """A consistency graph like the signdense scene's: 12 to 24 pairings.
+
+    Three contents are each seen 2 to 5 times in each window, at positions
+    drawn from five signs per content.  With ties, every position is a whole
+    metre on one axis and epsilon is 2, so each affinity is 0, 1/2 or 1 and
+    many subsets have exactly equal densities.
+    """
+    from textloop.association import Ltem, LtemEntity
+
+    while True:
+        counts = rng.integers(2, 6, size=(3, 2))
+        if 12 <= int((counts[:, 0] * counts[:, 1]).sum()) <= 24:
+            break
+    signs = rng.integers(0, 12, size=(3, 5)).astype(float)
+    maps = []
+    for side, shift in enumerate((0.0, 100.0)):
+        entities = []
+        for content in range(3):
+            for x in rng.permutation(signs[content])[: counts[content, side]]:
+                position = np.array([x + shift, 0.0, 0.0])
+                if not ties:
+                    position += rng.normal(0.0, 0.3, size=3)
+                entities.append(LtemEntity(f"C{content}", position, ((side, (0.0, 0.0, 0.0)),)))
+        maps.append(Ltem(side, (side, side), tuple(entities)))
+    epsilon = 2.0 if ties else float(rng.uniform(0.5, 2.0))
+    return build_consistency_graph(putative_associations(*maps), *maps, epsilon)
+
+
+def test_solver_matches_frozen_exhaustive_search():
+    # the density bound skips only subtrees that cannot replace the incumbent,
+    # so the index lists are those of the search without it, ties included
+    rng = np.random.default_rng(37)
+    sizes = set()
+    for trial in range(200):
+        graph = _signdense_graph(rng, ties=trial % 2 == 0)
+        sizes.add(len(graph))
+        assert solve_consistent_set(graph) == solve_exhaustive(graph)
+    assert min(sizes) <= 14 and max(sizes) >= 22
+
+
+def test_solver_prunes_a_fully_consistent_graph():
+    # the search without the bound would walk all 2**32 subsets
+    n = 32
+    graph = ConsistencyGraph(
+        [Association(k, k, "E%d" % k) for k in range(n)], np.ones((n, n)), np.zeros((n, n), bool)
+    )
+    start = time.perf_counter()
+    assert solve_consistent_set(graph) == list(range(n))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_solver_empty_and_singleton():
-    from textloop.association import ConsistencyGraph
-
     empty = ConsistencyGraph([], np.empty((0, 0)), np.empty((0, 0), dtype=bool))
-    assert solve_consistent_set(empty, "exact") == []
+    assert solve_consistent_set(empty) == []
     single = ConsistencyGraph(
         [Association(0, 0, "EXIT")], np.eye(1), np.zeros((1, 1), dtype=bool)
     )
-    assert solve_consistent_set(single, "exact") == [0]
-    with pytest.raises(ValueError):
-        solve_consistent_set(single, "simulated_annealing")
+    assert solve_consistent_set(single) == [0]
 
 
 def _revisit_scene(contents_first, contents_second, shift=None):

@@ -124,6 +124,19 @@ def test_out_of_order_odometry_exits_2(run_dir, tmp_path, capsys):
     assert "out of order" in capsys.readouterr().err
 
 
+def test_odometry_path_beyond_float_range_exits_2_at_its_line(tmp_path, capsys):
+    # an infinite cumulative path made the travel gate's difference NaN, and
+    # NaN <= s_min is false, so the gate passed every candidate
+    poses = [Pose(np.eye(3), [x, 0.0, 0.0]) for x in (0.0, 1.0, 1e308, -1e308)]
+    log = tmp_path / "log.jsonl"
+    write_log(log, [calib_record(default_rig())]
+              + [odom_record(0.1 * k, k, pose) for k, pose in enumerate(poses)])
+    assert main(["detect", "--log", str(log), "--out", str(tmp_path / "loops.jsonl")]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: odom frame 2 puts the path length beyond float range\n"
+    )
+
+
 def test_optimize_with_empty_loops_returns_odometry(run_dir, tmp_path):
     empty = tmp_path / "none.jsonl"
     empty.write_text("")

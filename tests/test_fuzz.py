@@ -8,6 +8,8 @@ or a flipped base64 character in a cloud.  Each command that reads the file
 then runs through cli.main, and must exit 0, or exit 2 with exactly one
 stderr line that starts with "error: ".  Where the mutation leaves a field
 invalid, the command must exit 2, unless it never reads that field (UNREAD).
+A RuntimeWarning (an overflow, a NaN from arithmetic) is an error too: every
+value the commands take must stay in range through their arithmetic.
 
 So that a run takes milliseconds, the log is cut to its first LOG_LINES
 lines and the trajectories to their first SLICE_FRAMES frames; these hold
@@ -207,6 +209,7 @@ def _run(argv) -> tuple[int | None, str]:
             return None, f"{type(exc).__name__}: {exc}"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mutated_inputs_exit_0_or_2_with_one_error_line(run):
     d = run["dir"]
     rng = random.Random(SEED)

@@ -12,6 +12,7 @@ from textloop.cli import MAX_POINT_COORDINATE, main
 from textloop.entities import TextDetection
 from textloop.geometry import Pose, exp_map, quaternion_to_rotation
 from textloop.logio import (
+    MAX_PIXEL_COORDINATE,
     LogFormatError,
     calib_record,
     cloud_record,
@@ -534,6 +535,29 @@ def test_bad_detection_confidence_exits_2(value, tmp_path, capsys):
     path = _sensor_log(tmp_path, (6, "detections", 0, "conf"), value)
     assert main(["detect", "--log", path, "--out", str(tmp_path / "loops.jsonl")]) == 2
     assert "error: line 6: bad detection entry" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [1e6, -1e6, 1e300, -1e300], ids=str)
+@pytest.mark.parametrize(
+    "key_path, message",
+    [
+        ((6, "detections", 0, "quad", 2, 0), "line 6: bad detection entry"),
+        ((6, "detections", 0, "quad", 0, 1), "line 6: bad detection entry"),
+        ((1, "intrinsics", 2), "line 1: bad intrinsics"),
+    ],
+    ids=["quad-u", "quad-v", "intrinsics-cx"],
+)
+def test_absurd_pixel_value_exits_2_at_its_line(key_path, message, value, tmp_path, capsys):
+    # a quad corner of 1e300 overflowed the polygon test, a focal length or
+    # principal point near 1e308 the projection
+    path = _sensor_log(tmp_path, key_path, value)
+    rc = main(["detect", "--log", path, "--out", str(tmp_path / "loops.jsonl")])
+    if abs(value) <= MAX_PIXEL_COORDINATE:
+        assert rc == 0
+        return
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message} (a value is beyond 1000000 px)\n"
 
 
 @pytest.mark.parametrize(

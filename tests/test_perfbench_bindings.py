@@ -93,9 +93,14 @@ def test_in_memory_replay_records_every_detect_layer():
         "entities.points_in_region",
         "entities.accumulate_local_cloud",
         "loop_closure.icp_verify",
+        "association.solve_consistent_set",
     ):
         assert tracer.counts[name + ".calls"] > 0, name
         assert any(span[2] == name for span in tracer.spans), name
+    # spans.on_solve reads the graph and a solver mode from the call; the
+    # solver now takes the graph alone, so no call reads as relaxed
+    assert tracer.maxima["association.graph_size"] >= 1
+    assert tracer.counts["association.relaxed.calls"] == 0
 
 
 def test_optimize_span_counts_one_edge_per_odometry_step_and_loop():
