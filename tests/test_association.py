@@ -266,6 +266,13 @@ def test_solver_matches_frozen_exhaustive_search():
         sizes.add(len(graph))
         assert solve_consistent_set(graph) == solve_exhaustive(graph)
     assert min(sizes) <= 14 and max(sizes) >= 22
+    # every subset ties at density 1, so each larger one replaces the
+    # incumbent, and a bound equal to the incumbent must not prune
+    n = 8
+    isolated = ConsistencyGraph(
+        [Association(k, k, "E%d" % k) for k in range(n)], np.eye(n), np.zeros((n, n), bool)
+    )
+    assert solve_consistent_set(isolated) == solve_exhaustive(isolated) == list(range(n))
 
 
 def test_solver_prunes_a_fully_consistent_graph():
