@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, PipelineConfig, load_config
 from .entities import ExtractionError, extract_entities
-from .evaluation import LengthMismatch, label_loop_poses, make_report
+from .evaluation import LengthMismatch, PathLengthOverflow, label_loop_poses, make_report
 from .geometry import GeometryError, OutOfRangeFactor, stack_poses
 from .logio import (
     LogFormatError,
@@ -80,7 +80,8 @@ class DetectorRun:
     still to come has t_image >= stamps[k - 1], so a frame stamped before the
     horizon stamps[k - 1] - window that anchors nothing is dropped.  Odometry
     stamps must not decrease, and an image with t_image - window below the
-    horizon is an error: its window has been released.
+    horizon is an error: its window has been released.  A cloud must be of
+    the latest odometry frame.
     """
 
     rig: object
@@ -109,8 +110,10 @@ class DetectorRun:
             self._release(stamps[-2] - self.extraction.window)
 
     def on_cloud(self, frame: int, points: np.ndarray) -> None:
-        if frame < self._released and not self.state.db.anchors(frame):
-            return
+        # the latest frame is stamped at or after every horizon, so never released
+        latest = len(self.state.stamps) - 1
+        if frame != latest:
+            raise ValueError(f"cloud frame {frame} arrived out of order (expected {latest})")
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         self._raw_clouds[frame] = pts
         self.state.add_cloud(frame, pts)
@@ -304,7 +307,11 @@ def cmd_detect(args) -> int:
                     f"line {record.line}: bad points value (a coordinate is beyond "
                     f"{MAX_POINT_COORDINATE:g} m)"
                 )
-            run.on_cloud(parse_field(payload, "frame", json_int, record.line), points)
+            frame = parse_field(payload, "frame", json_int, record.line)
+            try:
+                run.on_cloud(frame, points)
+            except ValueError as exc:
+                raise LogFormatError(f"line {record.line}: {exc}") from exc
         elif record.kind == "texts":
             t = parse_field(payload, "t", json_finite, record.line)
             detections = parse_detections(payload, record.line)
@@ -358,7 +365,10 @@ def cmd_evaluate(args) -> int:
     ev = config["eval"]
     if len(gt) < 2:
         raise LogFormatError("ground truth must contain at least two poses")
-    gtl = label_loop_poses(gt, tau=ev["tau"], min_travel=ev["min_travel"])
+    try:
+        gtl = label_loop_poses(gt, tau=ev["tau"], min_travel=ev["min_travel"])
+    except PathLengthOverflow as exc:
+        raise LogFormatError(f"cannot label loops in {args.gt}: {exc}") from exc
     predictions = [(c.frame_i, c.frame_j) for c in constraints]
     try:
         report = make_report(

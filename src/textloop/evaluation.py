@@ -16,6 +16,10 @@ class LengthMismatch(ValueError):
     pass
 
 
+class PathLengthOverflow(ValueError):
+    """The summed step lengths of a trajectory exceed float range."""
+
+
 def _positions(sequence) -> np.ndarray:
     if len(sequence) and isinstance(sequence[0], Pose):
         return np.stack([p.translation for p in sequence])
@@ -40,12 +44,17 @@ def label_loop_poses(
     """Mark poses whose position re-approaches an earlier pose after real travel.
 
     Partner sets hold every earlier index within `tau` meters whose path
-    distance to the pose exceeds `min_travel`.
+    distance to the pose exceeds `min_travel`.  A PathLengthOverflow if the
+    path length is not finite, where the travel would be NaN.
     """
     positions = _positions(gt)
     if len(positions) < 2:
         raise ValueError("need at least two poses to label loops")
-    cum = cumulative_path_length(positions)
+    with np.errstate(over="ignore"):
+        cum = cumulative_path_length(positions)
+    if not np.isfinite(cum[-1]):
+        first = int(np.argmax(~np.isfinite(cum)))
+        raise PathLengthOverflow(f"pose {first} puts the path length beyond float range")
     partners = []
     for k in range(len(positions)):
         if k == 0:

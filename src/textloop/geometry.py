@@ -465,7 +465,25 @@ def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
         raise GeometryError("zero quaternion")
     if not np.isfinite(norm):
         raise GeometryError(f"quaternion norm {norm} is not finite")
-    w, x, y, z = q / norm
+    return _unit_quaternion_rotation(*(q / norm))
+
+
+def quaternion_to_rotation_stacked(q: np.ndarray) -> np.ndarray:
+    """quaternion_to_rotation of each row of an (n, 4) array, with its bits, as (n, 3, 3).
+
+    A GeometryError if any row's norm is below 1e-12 or not finite.
+    """
+    q = np.asarray(q, dtype=float).reshape(-1, 4)
+    with np.errstate(over="ignore"):
+        norm = _norm_stacked(q)
+    if not ((norm >= 1e-12) & np.isfinite(norm)).all():
+        raise GeometryError("a quaternion norm is below 1e-12 or not finite")
+    rotations = _unit_quaternion_rotation(*(q / norm[:, None]).T)
+    return np.ascontiguousarray(np.moveaxis(rotations, -1, 0))
+
+
+def _unit_quaternion_rotation(w, x, y, z) -> np.ndarray:
+    """Rotation matrix of a unit quaternion; arrays of n components give (3, 3, n)."""
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],

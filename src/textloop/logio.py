@@ -19,19 +19,23 @@ A sensor log is a stream in stamp order, at one stamp ``odom`` before
 read: when frame k's odometry arrives it drops the clouds of frames stamped
 before stamps[k - 1] - window that anchor no text observation.  So odometry
 stamps must not decrease, and a ``texts`` record may trail the odometry by at
-most one frame (t - window >= stamps[k - 1] - window), or ``detect`` exits 2.
+most one frame (t - window >= stamps[k - 1] - window), and a ``cloud`` record
+follows its own ``odom`` record, or ``detect`` exits 2.
 Every file is read as UTF-8; a byte that is not is a LogFormatError.
 
 ``simulate`` writes records as it generates them, so no more than one cloud
-record is held at a time.  Trajectory readers (``optimize``, ``evaluate``)
-use only ``odom``/``gt`` records and skip cloud lines in the canonical form
-that ``write_log`` emits without decoding them; a corrupt cloud payload
-inside such a line is reported by ``detect``, which parses every record.
+line is held at a time; each is made from one template (cloud_line), the
+bytes json.dumps gives the record.  Trajectory readers (``optimize``,
+``evaluate``) use only ``odom``/``gt`` records and skip cloud lines in that
+form without decoding them; a corrupt cloud payload inside such a line is
+reported by ``detect``, which parses every record.  They decode the poses of
+a file in one stacked pass, and fall back to the per-record parse_pose on
+any bad value, so the error and its line are that parse's.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 import math
 from collections.abc import Iterator
@@ -40,7 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entities import CalibratedRig, TextDetection
-from .geometry import CameraIntrinsics, Pose, quaternion_to_rotation
+from .geometry import (
+    CameraIntrinsics,
+    GeometryError,
+    Pose,
+    quaternion_to_rotation,
+    quaternion_to_rotation_stacked,
+)
 from .loop_closure import LoopConstraint, LoopSource
 
 
@@ -68,10 +78,20 @@ def odom_record(t: float, frame: int, pose: Pose) -> dict:
     return {"type": "odom", "t": float(t), "frame": int(frame), "pose": pose.to_json()}
 
 
-def cloud_record(frame: int, points: np.ndarray) -> dict:
+# a cloud record is written as its finished line; a trajectory reader skips,
+# undecoded, a line that starts with the prefix and ends with an ending
+_CLOUD_PREFIX = '{"type":"cloud",'
+_CLOUD_ENDINGS = ('"}\n', '"}')
+_CLOUD_LINE = _CLOUD_PREFIX + '"frame":%d,"points":"%s' + _CLOUD_ENDINGS[0]
+
+
+def cloud_line(frame: int, points: np.ndarray) -> str:
+    """The JSON line of a {type, frame, points} cloud record, as json.dumps writes it.
+
+    A base64 payload needs no JSON escape, and %d prints an int as json does.
+    """
     pts = np.ascontiguousarray(points, dtype="<f8").reshape(-1, 3)
-    payload = base64.b64encode(pts.tobytes()).decode("ascii")
-    return {"type": "cloud", "frame": int(frame), "points": payload}
+    return _CLOUD_LINE % (frame, binascii.b2a_base64(pts.tobytes(), newline=False).decode("ascii"))
 
 
 def texts_record(t: float, detections) -> dict:
@@ -90,9 +110,13 @@ def gt_record(frame: int, pose: Pose) -> dict:
 
 
 def write_log(path, records) -> None:
+    """One line per record: a dict as compact JSON, a str (a finished line) as it is."""
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+            if isinstance(record, str):
+                handle.write(record)
+            else:
+                handle.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 # a pixel coordinate or focal length far beyond any camera image; a quad
@@ -107,11 +131,6 @@ _REQUIRED_FIELDS = {
     "texts": ("t", "detections"),
     "gt": ("frame", "pose"),
 }
-
-
-# how write_log starts and ends a cloud_record line
-_CLOUD_PREFIX = '{"type":"cloud",'
-_CLOUD_ENDINGS = ('"}\n', '"}')
 
 
 def _json_line(raw: str, line: int):
@@ -247,7 +266,8 @@ def parse_calib(payload: dict, line: int) -> CalibratedRig:
 def parse_cloud(payload: dict, line: int) -> np.ndarray:
     """The (n, 3) float64 points of a cloud record's base64 payload, any bits."""
     try:
-        raw = base64.b64decode(payload["points"], validate=True)
+        # a2b_base64 reads an ASCII str in place; base64.b64decode copies it to bytes first
+        raw = binascii.a2b_base64(payload["points"], strict_mode=True)
         if len(raw) % 24:
             raise ValueError(f"{len(raw)} bytes is not a whole number of float64 xyz rows")
         return np.frombuffer(raw, dtype="<f8").reshape(-1, 3)
@@ -296,12 +316,13 @@ def parse_loop(raw: str, line: int) -> LoopConstraint:
         raise LogFormatError(f"line {line}: bad loop record ({exc})") from exc
 
 
-def simulation_to_records(result) -> tuple[Iterator[dict], list[dict]]:
+def simulation_to_records(result) -> tuple[Iterator[dict | str], list[dict]]:
     """Sensor-log records, built one at a time in log order, and ground-truth records.
 
     Events are ordered by (stamp, odom < cloud < texts), ties kept in
     generation order; only their keys are sorted, each record is built when
-    the consumer asks for it.
+    the consumer asks for it.  A cloud record comes as its finished line
+    (cloud_line), the others as dicts.
     """
     events: list[tuple[float, int, int]] = []
     for frame, t in enumerate(result.stamps):
@@ -315,33 +336,88 @@ def simulation_to_records(result) -> tuple[Iterator[dict], list[dict]]:
     return _log_records(result, events), gt
 
 
-def _log_records(result, events) -> Iterator[dict]:
+def _log_records(result, events) -> Iterator[dict | str]:
     yield calib_record(result.rig)
     for _, rank, index in events:
         if rank == 0:
             yield odom_record(result.stamps[index], index, result.odom_poses[index])
         elif rank == 1:
-            yield cloud_record(index, result.clouds[index])
+            yield cloud_line(index, result.clouds[index])
         else:
             yield texts_record(*result.camera[index])
 
 
 def read_trajectory(path) -> tuple[list[float | None], list[Pose]]:
-    """Stamps (None for gt files) and poses from odom/gt records, frame order."""
-    rows: list[tuple[int, float | None, Pose]] = []
-    for record in read_log(path, skip_clouds=True):
-        payload, line = record.payload, record.line
-        if record.kind == "odom":
-            t = parse_field(payload, "t", json_finite, line)
-        elif record.kind == "gt":
-            t = None
-        else:
-            continue
-        rows.append(
-            (parse_field(payload, "frame", json_int, line), t, parse_pose(payload["pose"], line))
-        )
+    """Stamps (None for gt files) and poses from odom/gt records, frame order.
+
+    The records are decoded in one stacked pass (_decode_rows).  If any value
+    is one the per-record parse rejects, they go through _parse_row in file
+    order instead, so the first error, its message and its line are that
+    parse's, as they are when a later line is not a valid record.
+    """
+    records = []
+    try:
+        for record in read_log(path, skip_clouds=True):
+            if record.kind in ("odom", "gt"):
+                records.append(record)
+    except LogFormatError:
+        for record in records:
+            _parse_row(record)
+        raise
+    rows = _decode_rows(records)
+    if rows is None:
+        rows = [_parse_row(record) for record in records]
     rows.sort(key=lambda row: row[0])
     frames = [row[0] for row in rows]
     if frames != list(range(len(frames))):
         raise LogFormatError("trajectory frames must be contiguous from 0")
     return [row[1] for row in rows], [row[2] for row in rows]
+
+
+def _parse_row(record: LogRecord) -> tuple[int, float | None, Pose]:
+    """(frame, stamp or None for gt, pose) of an odom or gt record."""
+    payload, line = record.payload, record.line
+    t = parse_field(payload, "t", json_finite, line) if record.kind == "odom" else None
+    return parse_field(payload, "frame", json_int, line), t, parse_pose(payload["pose"], line)
+
+
+def _decode_rows(records) -> list[tuple[int, float | None, Pose]] | None:
+    """_parse_row of every record, with its bits; None if any record has a value it rejects.
+
+    It takes what json_int, json_finite and parse_pose take: an int (not bool)
+    frame, a finite int or float t, and a pose dict whose q and t are lists of
+    4 and 3 finite ints or floats, q of norm at least 1e-12.
+    """
+    frames, stamps, numbers = [], [], []
+    for record in records:
+        payload = record.payload
+        pose = payload["pose"]
+        if type(pose) is not dict:
+            return None
+        q, t = pose.get("q"), pose.get("t")
+        if type(q) is not list or type(t) is not list or len(q) != 4 or len(t) != 3:
+            return None
+        frames.append(payload["frame"])
+        if record.kind == "odom":
+            stamps.append(payload["t"])
+        numbers += q
+        numbers += t
+    numbers += stamps
+    if not set(map(type, frames)) <= {int} or not set(map(type, numbers)) <= {int, float}:
+        return None
+    try:
+        values = np.array(numbers, dtype=float)
+    except OverflowError:  # an integer past float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    poses = values[: 7 * len(records)].reshape(-1, 7)
+    try:
+        rotations = quaternion_to_rotation_stacked(poses[:, :4])
+    except GeometryError:
+        return None
+    stamp_values = iter(values[7 * len(records) :].tolist())
+    return [
+        (frame, next(stamp_values) if record.kind == "odom" else None, Pose(rotation, translation))
+        for record, frame, rotation, translation in zip(records, frames, rotations, poses[:, 4:])
+    ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import json
@@ -41,6 +42,13 @@ ACCEPT_NOISE = NoiseModel(
 def default_rig() -> CalibratedRig:
     """The rig of the default config, as the CLI builds it."""
     return load_config(None, environ={}).rig()
+
+
+def cloud_record(frame: int, points: np.ndarray) -> dict:
+    """A cloud record as a dict; json.dumps of it is the byte oracle for logio.cloud_line."""
+    pts = np.ascontiguousarray(points, dtype="<f8").reshape(-1, 3)
+    payload = base64.b64encode(pts.tobytes()).decode("ascii")
+    return {"type": "cloud", "frame": int(frame), "points": payload}
 
 
 def random_pose(rng: np.random.Generator, max_angle: float = 3.0, max_radius: float = 10.0) -> Pose:

@@ -144,3 +144,32 @@ def test_odometry_stamp_going_back_exits_2_with_its_line(lap, tmp_path, capsys):
         f"error: line {odom[100] + 1}: odom t = {records[odom[100]]['t']} precedes the previous "
         f"frame's t = {previous}\n"
     )
+
+
+@pytest.fixture(scope="module")
+def two_laps(tmp_path_factory):
+    """The records of a 2-lap corridor log."""
+    d = tmp_path_factory.mktemp("two_laps")
+    argv = ["simulate", "--scenario", "corridor", "--seed", "1", "--laps", "2", "--out", str(d)]
+    assert main(argv) == 0
+    return [json.loads(line) for line in (d / "log.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize(
+    "odom_frame, value",
+    [(0, -3), (5, 50), (300, 100), (5, 10**400)],
+    ids=["negative", "ahead", "behind", "past_float_range"],
+)
+def test_cloud_of_another_frame_exits_2_with_its_line(odom_frame, value, two_laps, tmp_path, capsys):
+    # a cloud follows its own odom record; any other frame was kept, or
+    # dropped as released, without a word
+    records = [dict(r) for r in two_laps]
+    odom = {r["frame"]: k for k, r in enumerate(records) if r["type"] == "odom"}
+    line = odom[odom_frame] + 2
+    assert records[line - 1]["type"] == "cloud" and records[line - 1]["frame"] == odom_frame
+    records[line - 1]["frame"] = value
+    capsys.readouterr()
+    assert _detect(records, tmp_path) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {line}: cloud frame {value} arrived out of order (expected {odom_frame})\n"
+    )

@@ -7,6 +7,7 @@ from helpers import loop_pose_indices
 from textloop.evaluation import (
     LengthMismatch,
     LoopGroundTruth,
+    PathLengthOverflow,
     ate,
     label_loop_poses,
     make_report,
@@ -76,6 +77,21 @@ def test_labels_accept_pose_sequences():
 def test_label_requires_two_poses():
     with pytest.raises(ValueError):
         label_loop_poses(np.zeros((1, 3)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "positions, first",
+    [
+        ([[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]], 1),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 0.0, 0.0]], 2),
+    ],
+    ids=["step_beyond_float_range", "squared_step_beyond_float_range"],
+)
+def test_label_rejects_a_path_length_beyond_float_range(positions, first):
+    # the travel between poses was inf - inf = NaN there, and NaN > min_travel is False
+    with pytest.raises(PathLengthOverflow, match=f"^pose {first} puts the path length beyond"):
+        label_loop_poses(np.array(positions))
 
 
 def test_score_undefined_rates():

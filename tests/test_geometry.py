@@ -32,6 +32,7 @@ from textloop.geometry import (
     log_map_stacked,
     project_array,
     quaternion_to_rotation,
+    quaternion_to_rotation_stacked,
     rotation_to_quaternion,
     relative_stacked,
     se3_right_jacobian_inverse,
@@ -256,6 +257,31 @@ def test_quaternion_round_trip():
         assert q[0] >= 0.0
         assert abs(np.linalg.norm(q) - 1.0) < 1e-12
         np.testing.assert_allclose(quaternion_to_rotation(q), rot, atol=1e-12)
+
+
+def test_stacked_quaternions_have_the_bits_of_the_one_row_rotation():
+    rng = np.random.default_rng(53)
+    scales = np.exp(rng.uniform(np.log(1e-12), np.log(1e154), size=(400, 1)))
+    q = rng.normal(size=(400, 4)) * scales
+    q[:100, 0] = -np.abs(q[:100, 0])
+    q[-1] = [1e154, 0.0, 0.0, 0.0]
+    q[-2] = [0.0, 1.0000001e-12, 0.0, 0.0]
+    rotations = quaternion_to_rotation_stacked(q)
+    assert rotations.shape == (400, 3, 3) and rotations.flags.c_contiguous
+    for row, expected in zip(rotations, q):
+        assert row.tobytes() == quaternion_to_rotation(expected).tobytes()
+    assert quaternion_to_rotation_stacked(np.empty((0, 4))).shape == (0, 3, 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "bad", [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 9e-13, 0.0], [1e200, 0.0, 0.0, 0.0]], ids=str
+)
+def test_stacked_quaternions_reject_a_row_the_one_row_rotation_rejects(bad):
+    with pytest.raises(GeometryError):
+        quaternion_to_rotation(np.array(bad))
+    with pytest.raises(GeometryError, match="below 1e-12 or not finite"):
+        quaternion_to_rotation_stacked(np.array([[1.0, 0.0, 0.0, 0.0], bad]))
 
 
 def test_quaternion_against_reference():

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import default_rig, poses_close
+from helpers import cloud_record, default_rig, poses_close
+from textloop import logio
 from textloop.cli import MAX_POINT_COORDINATE, main
 from textloop.entities import TextDetection
 from textloop.geometry import Pose, exp_map, quaternion_to_rotation
@@ -15,15 +16,17 @@ from textloop.logio import (
     MAX_PIXEL_COORDINATE,
     LogFormatError,
     calib_record,
-    cloud_record,
+    cloud_line,
     gt_record,
     json_array,
     json_finite,
     json_float,
+    json_int,
     odom_record,
     parse_calib,
     parse_cloud,
     parse_detections,
+    parse_field,
     parse_pose,
     read_log,
     read_trajectory,
@@ -99,13 +102,18 @@ def test_calib_and_detection_round_trip():
     np.testing.assert_allclose(parsed[0].quad, quad)
 
 
+def _as_dicts(log) -> list[dict]:
+    """simulation_to_records' log records, each cloud line (a str) decoded."""
+    return [json.loads(r) if isinstance(r, str) else r for r in log]
+
+
 def test_simulation_records_ordered_and_complete(tmp_path):
     world = build_world("corridor", seed=1)
     result = simulate(
         world, default_route("corridor", laps=1), default_rig(), NoiseModel(), seed=1
     )
     log, gt = simulation_to_records(result)
-    log = list(log)
+    log = _as_dicts(log)
     assert log[0]["type"] == "calib"
     stamps = [r["t"] for r in log[1:] if r["type"] in ("odom", "texts")]
     assert stamps == sorted(stamps)
@@ -209,7 +217,7 @@ def test_streamed_records_keep_tie_order(tmp_path):
     )
     _assert_streamed_log_matches_oracle(result, tmp_path)
     log, _ = simulation_to_records(result)
-    texts = [r["detections"][0]["text"] for r in log if r["type"] == "texts"]
+    texts = [r["detections"][0]["text"] for r in _as_dicts(log) if r["type"] == "texts"]
     assert texts == ["B", "A", "D"]
 
 
@@ -628,3 +636,185 @@ def test_decoded_poses_have_the_bits_of_the_asarray_decoder():
         rotation = quaternion_to_rotation(np.asarray(record["q"], dtype=float))
         assert pose.rotation.tobytes() == rotation.tobytes()
         assert pose.translation.tobytes() == np.asarray(record["t"], dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("frame", [0, 10**12])
+@pytest.mark.parametrize("size", [0, 1, 500])
+def test_cloud_line_is_the_json_of_its_record(size, frame, tmp_path):
+    rng = np.random.default_rng(size)
+    points = rng.normal(scale=rng.uniform(1e-3, 1e3), size=(size, 3))
+    special = np.array([[np.nan, np.inf, -np.inf], [-0.0, _nan_with_payload(), 5e-324]])
+    for cloud in (points, np.concatenate([points, special])):
+        line = cloud_line(frame, cloud)
+        assert line == json.dumps(cloud_record(frame, cloud), separators=(",", ":")) + "\n"
+        write_log(tmp_path / "lines.jsonl", [line, line])
+        write_log(tmp_path / "records.jsonl", [cloud_record(frame, cloud)] * 2)
+        assert (tmp_path / "lines.jsonl").read_bytes() == (tmp_path / "records.jsonl").read_bytes()
+
+
+def _read_trajectory_per_record(path):
+    """The per-record read_trajectory that the stacked decode replaced, kept as the oracle."""
+    rows = []
+    for record in read_log(path, skip_clouds=True):
+        payload, line = record.payload, record.line
+        if record.kind == "odom":
+            t = parse_field(payload, "t", json_finite, line)
+        elif record.kind == "gt":
+            t = None
+        else:
+            continue
+        rows.append(
+            (parse_field(payload, "frame", json_int, line), t, parse_pose(payload["pose"], line))
+        )
+    rows.sort(key=lambda row: row[0])
+    frames = [row[0] for row in rows]
+    if frames != list(range(len(frames))):
+        raise LogFormatError("trajectory frames must be contiguous from 0")
+    return [row[1] for row in rows], [row[2] for row in rows]
+
+
+def _assert_same_trajectory(got, expected):
+    (stamps, poses), (expected_stamps, expected_poses) = got, expected
+    assert stamps == expected_stamps
+    assert [type(t) for t in stamps] == [type(t) for t in expected_stamps]
+    assert len(poses) == len(expected_poses)
+    for pose, oracle in zip(poses, expected_poses):
+        assert pose.rotation.tobytes() == oracle.rotation.tobytes()
+        assert pose.translation.tobytes() == oracle.translation.tobytes()
+        assert pose.rotation.flags.c_contiguous
+
+
+def _random_pose_records(rng, n: int) -> list[dict]:
+    """odom records, frames shuffled, with raw unnormalized quaternions of any sign and scale."""
+    norms = np.exp(rng.uniform(np.log(1.5e-12), np.log(1.2e154), size=n))
+    records = []
+    for frame in rng.permutation(n):
+        q = rng.normal(size=4)
+        q *= norms[frame] / np.linalg.norm(q)
+        t = rng.normal(scale=10.0, size=3)
+        records.append(
+            {"type": "odom", "t": 0.1 * frame, "frame": int(frame),
+             "pose": {"t": t.tolist(), "q": q.tolist()}}
+        )
+    return records
+
+
+def test_stacked_trajectory_decode_has_the_bits_of_parse_pose(tmp_path, monkeypatch):
+    rng = np.random.default_rng(29)
+    records = _random_pose_records(rng, 300)
+    extremes = [
+        [-0.5, 0.5, -0.5, 0.5],                   # w < 0
+        [-1e-12, 0.0, 0.0, 1e-14],                # norm just above 1e-12
+        [0.0, 7.1e-13, -7.1e-13, 1.0e-14],
+        [1e154, 0.0, 0.0, 0.0],                   # squares just inside float range
+        [-5e153, 5e153, 5e153, -5e153],
+        [1, 0, 0, 0],                             # integer JSON numbers
+        [2, -3, 5, 7],
+        [1, 2.5, -3, 0.125],
+    ]
+    for record, q in zip(records, extremes):
+        record["pose"]["q"] = q
+    records[0]["pose"]["t"] = [3, -2, 10**15]
+    records[1]["pose"]["t"] = [2**53 + 1, -(2**63) - 1, 10**300]
+    records[2]["t"] = 7
+    path = tmp_path / "odom.jsonl"
+    write_log(path, records)
+    gt = tmp_path / "gt.jsonl"
+    write_log(gt, [dict(r, type="gt") for r in records])
+    expected = [_read_trajectory_per_record(p) for p in (path, gt)]
+
+    def per_record(record):
+        raise AssertionError("a file with good values went through the per-record parse")
+
+    monkeypatch.setattr(logio, "_parse_row", per_record)
+    for p, oracle in zip((path, gt), expected):
+        _assert_same_trajectory(read_trajectory(p), oracle)
+
+
+# (record index, key path, value): each a value the per-record parse rejects,
+# or one it takes, such as 0.5 or 1e308 for t
+_SWAPS = [True, "x", 0.5, None, [1], {}, 1e308, float("nan"), float("inf"), 10**400]
+_MALFORMED = (
+    [(1, ("t",), v) for v in _SWAPS]
+    + [(1, ("frame",), v) for v in _SWAPS + [1.0, -1, 10**30]]
+    + [(1, ("pose",), v) for v in _SWAPS + [[0.0] * 7]]
+    + [(1, ("pose", "q"), v) for v in _SWAPS]
+    + [(1, ("pose", "t"), v) for v in _SWAPS]
+    + [(1, ("pose", "q", 2), v) for v in _SWAPS]
+    + [(1, ("pose", "t", 0), v) for v in _SWAPS]
+    + [
+        (1, ("pose", "q"), [1.0, 0.0, 0.0]),
+        (1, ("pose", "q"), [1.0, 0.0, 0.0, 0.0, 0.0]),
+        (1, ("pose", "t"), [1.0, 2.0]),
+        (1, ("pose", "t"), [[1.0], [2.0], [3.0]]),
+        (1, ("pose", "q"), [0, 0, 0, 0]),
+        (1, ("pose", "q"), [0.0, 1e-13, 0.0, 0.0]),
+        (1, ("pose", "q"), [1e155, 0.0, 0.0, 0.0]),
+        (1, ("pose", "q"), [1e300, 1e300, 0.0, 0.0]),
+        (1, ("pose", "q"), [1e-170, 0.0, 0.0, 0.0]),
+        (1, ("pose", "q", 0), 10**400),
+        (1, ("pose", "t", 1), -(10**400)),
+        (2, ("t",), 10**400),
+    ]
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["odom", "gt"])
+@pytest.mark.parametrize("index, keys, value", _MALFORMED)
+def test_malformed_trajectory_record_gives_the_per_record_error(kind, index, keys, value, tmp_path):
+    records = [
+        odom_record(0.1 * k, k, exp_map(np.full(6, 0.1 * k))) if kind == "odom"
+        else gt_record(k, exp_map(np.full(6, 0.1 * k)))
+        for k in range(3)
+    ]
+    target = records[index]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "traj.jsonl"
+    write_log(path, records)
+    try:
+        expected = _read_trajectory_per_record(path)
+    except LogFormatError as exc:
+        with pytest.raises(LogFormatError) as got:
+            read_trajectory(path)
+        assert str(got.value) == str(exc)
+    else:
+        _assert_same_trajectory(read_trajectory(path), expected)
+
+
+@pytest.mark.parametrize(
+    "later",
+    [
+        '{"type":"odom","t":0.3,"frame":1.5,"pose":{"t":[0,0,0],"q":[1,0,0,0]}}',
+        '{"type":"odom","t":0.3,"frame":3,"pose":{"t":[0,0,0],"q":[1,0,0,0]}',
+        '{"type":"odom","frame":3,"pose":{"t":[0,0,0],"q":[1,0,0,0]}}',
+    ],
+    ids=["bad-frame", "invalid-json", "missing-t"],
+)
+def test_first_bad_row_is_reported_before_a_later_one(later, tmp_path):
+    records = [odom_record(0.1 * k, k, Pose.identity()) for k in range(3)] + [later + "\n"]
+    path = tmp_path / "traj.jsonl"
+    write_log(path, records)
+    with pytest.raises(LogFormatError, match="^line 4: "):
+        read_trajectory(path)
+    records[1]["pose"]["q"] = [0, 0, 0, 0]
+    write_log(path, records)
+    with pytest.raises(LogFormatError, match=r"^line 2: bad pose \(zero quaternion\)$"):
+        read_trajectory(path)
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([[1.0, 2.0, 3.0]], "argument should be bytes, buffer or ASCII string, not 'list'"),
+        (None, "argument should be bytes, buffer or ASCII string, not 'NoneType'"),
+        ("AAAAéAAA", "string argument should contain only ASCII characters"),
+    ],
+    ids=["list", "null", "non_ascii"],
+)
+def test_cloud_payload_that_is_no_ascii_string_is_named(points, message):
+    with pytest.raises(LogFormatError) as got:
+        parse_cloud({"type": "cloud", "frame": 0, "points": points}, 3)
+    assert str(got.value) == f"line 3: bad points value ({message})"
