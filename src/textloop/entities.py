@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import (
+    DEPTH_EPSILON,
     CameraIntrinsics,
     GeometryError,
     PlaneParams,
@@ -23,7 +24,8 @@ from .geometry import (
     Pose,
     backproject,
     interpolate,
-    project_array,
+    relative_stacked,
+    stack_poses,
 )
 
 CONTENT_MIN_CONFIDENCE = 0.85
@@ -31,9 +33,15 @@ CLOUD_WINDOW_SECONDS = 1.0
 STAMP_EPSILON = 1e-9
 # widening of a quad's bounding box, in pixels, before the polygon test
 QUAD_BOX_MARGIN = 1e-6
-# float64 values in one chunk of RANSAC point offsets, about 1 MB
+# float64 values in one chunk of RANSAC point distances, about 1 MB
 RANSAC_CHUNK_VALUES = 1 << 17
+# RANSAC's GEMM distances are trusted this far, times the largest coordinate
+# magnitude, from the threshold (64 units of roundoff, see _inlier_counts)
+RANSAC_GUARD = 2.0**-47
+# a region with a coordinate beyond this is scored without the GEMM
+RANSAC_GEMM_MAX_COORD = 2.0**100
 _LOW_WORD = np.uint64(0xFFFFFFFF)
+_NO_POINTS = np.empty((0, 3))
 
 
 class ExtractionError(ValueError):
@@ -145,23 +153,37 @@ def accumulate_local_cloud(
 
     frames: sequence of (timestamp, Pose, (N, 3) points), points in their own
     LiDAR frame.  The result is expressed in the frame of the newest in-window
-    entry.  Raises EmptyWindow when no frame qualifies.
+    entry, which may hold no points.  Raises EmptyWindow when no frame
+    qualifies.
+
+    Each entry's points get the bits of (ref.inverse() @ pose).apply(points):
+    the relative poses come from one relative_stacked call, which has the
+    bits of that inverse and compose, and each entry's whole array is
+    multiplied and shifted as Pose.apply does it, straight into its rows of
+    the one result buffer.
     """
     in_window = [
-        (t, pose, pts) for t, pose, pts in frames if t_now - window <= t <= t_now + STAMP_EPSILON
+        (pose, np.asarray(pts, dtype=float).reshape(-1, 3))
+        for t, pose, pts in frames
+        if t_now - window <= t <= t_now + STAMP_EPSILON
     ]
     if not in_window:
         raise EmptyWindow(f"no frames within {window} s of t = {t_now}")
-    _, ref_pose, _ = in_window[-1]
-    ref_inv = ref_pose.inverse()
-    chunks = []
-    for _, pose, pts in in_window:
-        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-        if len(pts):
-            chunks.append((ref_inv @ pose).apply(pts))
-    if not chunks:
-        return np.empty((0, 3))
-    return np.vstack(chunks)
+    count = len(in_window)
+    rotations, translations = relative_stacked(
+        *stack_poses([pose for pose, _ in in_window]), np.full(count, count - 1), np.arange(count)
+    )
+    out = np.empty((sum(len(pts) for _, pts in in_window), 3))
+    start = 0
+    for (_, pts), rotation, translation in zip(in_window, rotations, translations):
+        if not len(pts):
+            continue
+        rows = out[start : start + len(pts)]
+        np.matmul(pts, rotation.T, out=rows)
+        for k in range(3):
+            rows[:, k] += translation[k]
+        start += len(pts)
+    return out
 
 
 def _points_in_polygon(uv: np.ndarray, polygon: np.ndarray) -> np.ndarray:
@@ -194,28 +216,38 @@ def points_in_region(
 ) -> np.ndarray:
     """Subset of camera-frame points whose projection falls inside the quad.
 
-    Only points inside the quad's bounding box, widened by QUAD_BOX_MARGIN,
-    reach the polygon test: no point outside it is inside the quad or within
-    the test's 1e-9 px boundary tolerance, as long as rounding at the quad's
-    pixel coordinates stays far below the margin (below about 1e9 px).  A
-    NaN corner crops nothing on its axis.  So the result is that of testing
-    every point, unless a corner's v is NaN while every u is finite: the
-    polygon test then counts only the edges away from that corner, and can
-    keep points outside the u range, which the crop drops.  A quad read from
-    a log never has a NaN corner, nor one beyond 1e6 px: parse_detections
-    rejects both.
+    The crop runs in stages, each on the survivors of the one before: depth
+    (z > DEPTH_EPSILON), then u, then v.  Each stage is elementwise, with
+    project_array's arithmetic, so a survivor's pixel has the bits that
+    projecting every point gives, and the polygon test sees the rows it sees
+    after projecting every point, in the same order.  Only points inside the
+    quad's bounding box, widened by QUAD_BOX_MARGIN, reach the polygon test:
+    no point outside it is inside the quad or within the test's 1e-9 px
+    boundary tolerance, as long as rounding at the quad's pixel coordinates
+    stays far below the margin (below about 1e9 px).  A NaN corner crops
+    nothing on its axis.  So the result is that of testing every point,
+    unless a corner's v is NaN while every u is finite: the polygon test then
+    counts only the edges away from that corner, and can keep points outside
+    the u range, which the crop drops.  A quad read from a log never has a
+    NaN corner, nor one beyond 1e6 px: parse_detections rejects both.
     """
     points_cam = np.asarray(points_cam, dtype=float).reshape(-1, 3)
     if not len(points_cam):
         return points_cam
     quad = np.asarray(quad, dtype=float)
-    uv, valid = project_array(intrinsics, points_cam)
     u_lo, v_lo = quad.min(axis=0) - QUAD_BOX_MARGIN
     u_hi, v_hi = quad.max(axis=0) + QUAD_BOX_MARGIN
-    u, v = uv[:, 0], uv[:, 1]
-    outside = (u < u_lo) | (u > u_hi) | (v < v_lo) | (v > v_hi)
-    (near,) = np.nonzero(valid & ~outside)
-    return points_cam[near[_points_in_polygon(uv[near], quad)]]
+    (near,) = np.nonzero(points_cam[:, 2] > DEPTH_EPSILON)
+    z = points_cam[near, 2]
+    u = intrinsics.fx * points_cam[near, 0] / z + intrinsics.cx
+    # "not outside", so that a NaN pixel or bound crops nothing
+    keep = ~((u < u_lo) | (u > u_hi))
+    near, z, u = near[keep], z[keep], u[keep]
+    v = intrinsics.fy * points_cam[near, 1] / z + intrinsics.cy
+    keep = ~((v < v_lo) | (v > v_hi))
+    near = near[keep]
+    uv = np.column_stack([u[keep], v[keep]])
+    return points_cam[near[_points_in_polygon(uv, quad)]]
 
 
 def _draw_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -260,14 +292,78 @@ def _draw_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return triples
 
 
+def _exact_distances(points: np.ndarray, anchors: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """(h, n) distances |(p - a) . normal|, each with the bits of scoring one hypothesis alone."""
+    # one coordinate at a time into the (h, n, 3) layout the matmul takes:
+    # broadcasting over the trailing axis runs a 3-long inner loop
+    offsets = np.empty((len(anchors), len(points), 3))
+    for k in range(3):
+        np.subtract(points[None, :, k], anchors[:, k, None], out=offsets[:, :, k])
+    return np.abs(np.matmul(offsets, normals[:, :, None])[:, :, 0])
+
+
+def _gemm_distances(points: np.ndarray, anchors: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """(h, n) distances |p . normal - a . normal|, from one matrix product."""
+    dist = normals @ points.T
+    dist -= np.einsum("ij,ij->i", anchors, normals)[:, None]
+    return np.abs(dist, out=dist)
+
+
+def _inlier_counts(
+    points: np.ndarray, anchors: np.ndarray, normals: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Per hypothesis, the points with _exact_distances <= threshold.
+
+    Hypotheses are scored with _gemm_distances, RANSAC_CHUNK_VALUES distances
+    at a time.  Take M, the largest coordinate magnitude, and u = 2**-53.  A
+    point lies within sqrt(3) M of the origin and a normal is at most 1 + 4u
+    long.  So the exact distance is within gamma_4 2 sqrt(3) M of the real
+    (p - a) . n, about 8 sqrt(3) u M.  The GEMM distance is within gamma_3
+    sqrt(3) M for each of its two dot products and u 2 sqrt(3) M for their
+    difference, again about 8 sqrt(3) u M.  Together that is below 28 u M,
+    plus at most 5 * 2**-1074 from products that underflow, and the guard,
+    RANSAC_GUARD M + 8 * 2**-1074 = 64 u M + 8 * 2**-1074, is more than twice
+    it.  A hypothesis with a GEMM distance in the guard band around the
+    threshold (its bounds rounded outward) is scored again with
+    _exact_distances; every other GEMM distance lies on the same side of the
+    threshold as its exact distance, so every count is exact.  Points with a
+    coordinate beyond RANSAC_GEMM_MAX_COORD, infinite or NaN, are scored with
+    _exact_distances alone; below it nothing overflows.
+    """
+    n = len(points)
+    counts = np.zeros(len(normals), dtype=np.intp)
+    coord = max(points.max(), -points.min())
+    if coord <= RANSAC_GEMM_MAX_COORD:
+        guard = RANSAC_GUARD * coord + 8 * np.finfo(float).smallest_subnormal
+        lo = np.nextafter(threshold - guard, -np.inf)
+        hi = np.nextafter(threshold + guard, np.inf)
+        unsure = []
+        chunk = max(1, RANSAC_CHUNK_VALUES // n)
+        for start in range(0, len(normals), chunk):
+            rows = slice(start, start + chunk)
+            dist = _gemm_distances(points, anchors[rows], normals[rows])
+            counts[rows] = np.count_nonzero(dist <= lo, axis=1)
+            (near,) = np.nonzero(np.count_nonzero(dist <= hi, axis=1) != counts[rows])
+            unsure.extend(start + near)
+    else:
+        unsure = range(len(normals))
+    for h in unsure:
+        dist = _exact_distances(points, anchors[h : h + 1], normals[h : h + 1])
+        counts[h] = np.count_nonzero(dist <= threshold)
+    return counts
+
+
 def fit_plane_ransac(
     points: np.ndarray, seed, params: RansacParams = RansacParams()
 ) -> PlaneParams:
     """Plane through the dominant support of `points`, normal facing the origin.
 
     Hypothesis h is the plane through the h-th of `iterations` triples drawn
-    as by rng.choice; the first hypothesis with the most inliers wins.  They
-    are scored in chunks, with the rounding of scoring one at a time.
+    as by rng.choice; the first hypothesis with the most inliers wins.  The
+    inlier counts are those of scoring one hypothesis at a time with
+    |(points - a) @ normal| (_inlier_counts states the guard that keeps
+    them), and the winner's support is taken with that arithmetic, so the
+    plane has the bits of the one-at-a-time loop.
     Raises TooFewPoints, DegenerateSample, or LowInlierRatio.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -276,34 +372,30 @@ def fit_plane_ransac(
         raise TooFewPoints(f"{n} points, need {max(params.min_points, 3)}")
     rng = np.random.default_rng(seed)
     a, b, c = points[_draw_triples(rng, n, params.iterations)].transpose(1, 0, 2)
-    normals = np.cross(b - a, c - a)
+    ab, ac = b - a, c - a
+    # np.cross's products and differences, without its per-call overhead
+    normals = np.column_stack(
+        [
+            ab[:, 1] * ac[:, 2] - ab[:, 2] * ac[:, 1],
+            ab[:, 2] * ac[:, 0] - ab[:, 0] * ac[:, 2],
+            ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0],
+        ]
+    )
     # a 1x3 by 3x1 matmul per row rounds like np.linalg.norm of that row
     scales = np.sqrt(np.matmul(normals[:, None, :], normals[:, :, None]))[:, 0, 0]
     (usable,) = np.nonzero(~(scales < 1e-12))
+    anchors = a[usable]
     normals = normals[usable] / scales[usable, None]
-    best_count = 0
-    best_inliers = None
-    chunk = max(1, RANSAC_CHUNK_VALUES // (3 * n))
-    for start in range(0, len(usable), chunk):
-        rows = slice(start, start + chunk)
-        anchors = a[usable[rows]]
-        # one coordinate at a time into the (h, n, 3) layout the matmul takes:
-        # broadcasting over the trailing axis runs a 3-long inner loop
-        offsets = np.empty((len(anchors), n, 3))
-        for k in range(3):
-            np.subtract(points[None, :, k], anchors[:, k, None], out=offsets[:, :, k])
-        dist = np.abs(np.matmul(offsets, normals[rows, :, None])[:, :, 0])
-        inliers = dist <= params.inlier_threshold
-        counts = inliers.sum(axis=1)
-        top = int(np.argmax(counts))
-        if counts[top] > best_count:
-            best_count = int(counts[top])
-            best_inliers = inliers[top]
-    if best_inliers is None:
+    counts = _inlier_counts(points, anchors, normals, params.inlier_threshold)
+    if not counts.any():
         raise DegenerateSample("all sampled triples were collinear")
+    best = int(np.argmax(counts))
+    best_count = int(counts[best])
     if best_count < params.min_points or best_count < params.min_inlier_ratio * n:
         raise LowInlierRatio(f"{best_count}/{n} inliers")
-    support = points[best_inliers]
+    rows = slice(best, best + 1)
+    dist = _exact_distances(points, anchors[rows], normals[rows])[0]
+    support = points[dist <= params.inlier_threshold]
     centroid = support.mean(axis=0)
     _, _, vt = np.linalg.svd(support - centroid, full_matrices=False)
     normal = vt[2]
@@ -390,14 +482,20 @@ def extract_entities(
     """Run the full extraction chain for one image.
 
     stamps: ascending odometry timestamps, one per entry of poses.
-    clouds: mapping frame index -> (N, 3) points in that LiDAR frame.
+    clouds: mapping frame index -> (N, 3) points in that LiDAR frame.  A
+    frame may have no cloud; the window is still expressed in the anchor
+    frame when the anchor is one of them.
     Detections that fail a geometric step are skipped rather than fatal;
     an out-of-span timestamp raises UnbracketedTimestamp.
     """
     pattern = compile_id_pattern(params.id_pattern)
     anchor, motion = pose_at_image_time(stamps, poses, t_image)
     first = bisect_left(stamps, t_image - params.window)
-    frames = [(stamps[f], poses[f], clouds[f]) for f in range(first, anchor + 1) if f in clouds]
+    frames = [(stamps[f], poses[f], clouds[f]) for f in range(first, anchor) if f in clouds]
+    if first <= anchor:
+        # the window is expressed in its newest entry, which must be the
+        # anchor even when the log gave the anchor no cloud
+        frames.append((stamps[anchor], poses[anchor], clouds.get(anchor, _NO_POINTS)))
     try:
         cloud_anchor = accumulate_local_cloud(frames, t_now=stamps[anchor], window=params.window)
     except EmptyWindow:

@@ -73,11 +73,16 @@ def _by_angle(angle: np.ndarray, series, closed) -> list[np.ndarray]:
     """Coefficients per row: series(angle) below _SMALL_ANGLE, closed(angle) from it on.
 
     A branch with no rows is not evaluated; input with no rows at all runs series.
+    When one branch takes every row, it runs on the raveled angles, the
+    contiguous 1-D array that masking would hand it, with no scatter.
     """
     low = angle < _SMALL_ANGLE
-    branches = [(rows, f) for rows, f in ((low, series), (~low, closed)) if rows.any()]
+    count = np.count_nonzero(low)
+    if count == 0 or count == low.size:
+        formula = series if count == low.size else closed
+        return [np.reshape(v, angle.shape + (1, 1)) for v in formula(angle.ravel())]
     coeffs = None
-    for rows, formula in branches or [(low, series)]:
+    for rows, formula in ((low, series), (~low, closed)):
         values = formula(angle[rows])
         if coeffs is None:
             coeffs = [np.empty(angle.shape) for _ in values]

@@ -20,7 +20,10 @@ read: when frame k's odometry arrives it drops the clouds of frames stamped
 before stamps[k - 1] - window that anchor no text observation.  So odometry
 stamps must not decrease, and a ``texts`` record may trail the odometry by at
 most one frame (t - window >= stamps[k - 1] - window), and a ``cloud`` record
-follows its own ``odom`` record, or ``detect`` exits 2.
+follows its own ``odom`` record, or ``detect`` exits 2.  A frame may lack a
+``cloud`` record: an image window then holds the other frames' points, still
+expressed in the image's anchor frame, and a loop candidate at that frame is
+treated as one whose ICP cannot run.
 Every file is read as UTF-8; a byte that is not is a LogFormatError.
 
 ``simulate`` writes records as it generates them, so no more than one cloud

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -428,14 +430,22 @@ def test_fit_plane_ransac_matches_per_hypothesis_oracle(monkeypatch):
 
 
 def _hypothesis_distances(points, seed, iterations):
-    """Each hypothesis's point distances, computed as the oracle computes them."""
+    """Each hypothesis's point distances as the oracle computes them, and as one GEMM does."""
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(iterations):
         a, b, c = points[rng.choice(len(points), size=3, replace=False)]
         normal = np.cross(b - a, c - a)
-        rows.append(np.abs((points - a) @ (normal / np.linalg.norm(normal))))
+        normal = normal / np.linalg.norm(normal)
+        gemm = entities_module._gemm_distances(points, a[None], normal[None])[0]
+        rows.append((np.abs((points - a) @ normal), gemm))
     return rows
+
+
+def _thresholds_at(exact, gemm, picks):
+    """The exact distances of the picked points, one ulp either side, and their GEMM distances."""
+    exact = exact[picks]
+    return [*exact, *np.nextafter(exact, -np.inf), *np.nextafter(exact, np.inf), *gemm[picks]]
 
 
 def test_fit_plane_ransac_rounds_like_one_hypothesis_at_a_time():
@@ -447,8 +457,9 @@ def test_fit_plane_ransac_rounds_like_one_hypothesis_at_a_time():
         iterations = int(rng.integers(1, 6))
         seed = [trial, 5]
         rows = _hypothesis_distances(cloud, seed, iterations)
-        row = rows[int(rng.integers(0, iterations))]
-        for threshold in np.sort(row)[[len(row) // 4, len(row) // 2, -1]]:
+        exact, gemm = rows[int(rng.integers(0, iterations))]
+        order = np.argsort(exact)
+        for threshold in _thresholds_at(exact, gemm, order[[len(order) // 4, len(order) // 2, -1]]):
             params = RansacParams(
                 iterations=iterations,
                 inlier_threshold=float(threshold),
@@ -457,6 +468,56 @@ def test_fit_plane_ransac_rounds_like_one_hypothesis_at_a_time():
             )
             expected = _ransac_outcome(_ransac_oracle, cloud, seed, params)
             assert _ransac_outcome(fit_plane_ransac, cloud, seed, params) == expected, trial
+
+
+def test_inlier_counts_at_gemm_and_exact_distances(monkeypatch):
+    # the GEMM and the per-hypothesis arithmetic disagree in the last bits, so
+    # a threshold at either distance is where a missing guard miscounts
+    rng = np.random.default_rng(43)
+    gemm_above = gemm_below = 0
+    for trial in range(80):
+        # past RANSAC_GEMM_MAX_COORD, or with a NaN point, every hypothesis
+        # is scored one at a time
+        scale = rng.choice([1.0, 20.0, 2.0**120])
+        points = _noisy_plane(rng, int(rng.integers(20, 300)), 0.05) * scale
+        if trial % 10 == 0:
+            points[int(rng.integers(len(points))), int(rng.integers(3))] = np.nan
+        count = int(rng.integers(1, 8))
+        anchors = points[rng.integers(0, len(points), size=count)]
+        normals = rng.normal(size=(count, 3))
+        normals /= np.sqrt(np.sum(normals * normals, axis=1))[:, None]
+        exact = np.array([np.abs((points - a) @ n) for a, n in zip(anchors, normals)])
+        gemm = entities_module._gemm_distances(points, anchors, normals)
+        gemm_above += int(np.count_nonzero(gemm > exact))
+        gemm_below += int(np.count_nonzero(gemm < exact))
+        row = int(rng.integers(count))
+        picks = rng.choice(len(points), size=4, replace=False)
+        for chunk_values in (1, 50, entities_module.RANSAC_CHUNK_VALUES):
+            monkeypatch.setattr(entities_module, "RANSAC_CHUNK_VALUES", chunk_values)
+            for threshold in _thresholds_at(exact[row], gemm[row], picks):
+                got = entities_module._inlier_counts(points, anchors, normals, threshold)
+                assert got.tolist() == np.count_nonzero(exact <= threshold, axis=1).tolist()
+    assert gemm_above > 100 and gemm_below > 100
+
+
+def test_fit_plane_ransac_memory_is_bounded_by_the_chunk():
+    # 2e5 points score one hypothesis per chunk; the support, its centred
+    # copy and the SVD factors take up to 4 copies of the points, a chunk
+    # its float64 distances and two boolean masks over them
+    rng = np.random.default_rng(9)
+    n = 200_000
+    points = np.column_stack(
+        [rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n), rng.normal(5.0, 0.01, n)]
+    )
+    tracemalloc.start()
+    try:
+        plane = fit_plane_ransac(points, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(plane.offset - 5.0) < 1e-2
+    chunk_bytes = 10 * max(entities_module.RANSAC_CHUNK_VALUES, n)
+    assert peak <= 4 * points.nbytes + chunk_bytes
 
 
 def test_fit_plane_ransac_at_min_points_matches_oracle():
